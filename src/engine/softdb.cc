@@ -303,55 +303,109 @@ Status SoftDb::CertifyCertificates(
   return Status::OK();
 }
 
-Result<QueryResult> SoftDb::RunPlan(const PlanNode& plan, QueryResult result,
-                                    const QueryContext* query) {
+Status SoftDb::RunPlan(const PlanNode& plan, bool zone_maps,
+                       ScEpochSnapshot* guard, QueryResult* result,
+                       const QueryContext* query) {
   OptimizerContext ctx = MakeContext();
+  ctx.enable_zone_maps = ctx.enable_zone_maps && zone_maps;
   CardinalityEstimator estimator = MakeEstimator();
   PhysicalPlanner planner(&ctx, &estimator);
-  result.estimated_rows = estimator.EstimateRows(plan);
-  result.estimated_cost = planner.EstimateCost(plan);
-  result.plan_text = plan.ToString();
+  result->estimated_rows = estimator.EstimateRows(plan);
+  result->estimated_cost = planner.EstimateCost(plan);
+  result->plan_text = plan.ToString();
   SOFTDB_ASSIGN_OR_RETURN(OperatorPtr root, planner.Plan(plan));
   // Physical planning emits its own certificates (zone-map skip sets);
   // check them against the live zone maps before any row is read.
-  ExecStats cert_stats;
-  SOFTDB_RETURN_IF_ERROR(CertifyCertificates(ctx.certificates, &cert_stats));
-  // Zone maps are consumed at physical-planning time, so the rewrite-level
-  // epoch snapshot in ExecuteSelect never sees them. Guard them here: a
-  // mid-query widening (an out-of-envelope UPDATE bumps the SC epoch
-  // before the cell mutates) invalidates the skip sets baked into `root`,
-  // and the query re-plans without zone maps exactly once. The retry
-  // consults nothing, so it cannot cascade.
-  const ScEpochSnapshot zm_epochs = SnapshotScEpochs(ctx.rewrite_consumed_scs);
+  SOFTDB_RETURN_IF_ERROR(
+      CertifyCertificates(ctx.certificates, &result->exec_stats));
+  // Zone maps are consumed here, after the package's epoch stamps: an
+  // out-of-envelope UPDATE bumps a map's epoch before the cell mutates,
+  // invalidating the skip sets baked into `root`, so they join the guard.
+  if (guard != nullptr) {
+    for (auto& entry : SnapshotScEpochs(ctx.rewrite_consumed_scs)) {
+      guard->push_back(std::move(entry));
+    }
+  }
   ExecContext exec_ctx;
   exec_ctx.scheduler = scheduler();
   exec_ctx.query = query;
   exec_ctx.use_kernels = options_.use_kernels;
-  SOFTDB_ASSIGN_OR_RETURN(result.rows, ExecuteToCompletion(root.get(),
-                                                           &exec_ctx));
-  result.exec_stats = exec_ctx.stats;
-  if (!zm_epochs.empty() && ScEpochsChanged(zm_epochs)) {
-    OptimizerContext retry_ctx = MakeContext();
-    retry_ctx.enable_zone_maps = false;
-    PhysicalPlanner retry_planner(&retry_ctx, &estimator);
-    SOFTDB_ASSIGN_OR_RETURN(OperatorPtr retry_root, retry_planner.Plan(plan));
-    // The retry consumes no zone maps, so this is normally a no-op; it
-    // still re-checks whatever the retry planner emitted, so no stale
-    // certificate survives the re-plan.
-    cert_stats = ExecStats{};
-    SOFTDB_RETURN_IF_ERROR(
-        CertifyCertificates(retry_ctx.certificates, &cert_stats));
-    ExecContext retry_exec;
-    retry_exec.scheduler = scheduler();
-    retry_exec.query = query;
-    retry_exec.use_kernels = options_.use_kernels;
-    SOFTDB_ASSIGN_OR_RETURN(
-        result.rows, ExecuteToCompletion(retry_root.get(), &retry_exec));
-    result.exec_stats = retry_exec.stats;
-    result.exec_stats.degraded_retries = 1;
+  SOFTDB_ASSIGN_OR_RETURN(result->rows,
+                          ExecuteToCompletion(root.get(), &exec_ctx));
+  // This run's counters replace a discarded run's; certificate counts
+  // accumulate over every check the statement made.
+  exec_ctx.stats.certificates_checked +=
+      result->exec_stats.certificates_checked;
+  exec_ctx.stats.certificates_failed += result->exec_stats.certificates_failed;
+  result->exec_stats = exec_ctx.stats;
+  return Status::OK();
+}
+
+Result<std::shared_ptr<CachedPlan>> SoftDb::BuildPackage(
+    const std::string& sql, const SelectStmt& stmt, bool cache,
+    ExecStats* certs) {
+  Binder binder(&catalog_);
+  SOFTDB_ASSIGN_OR_RETURN(PlanPtr bound, binder.BindSelect(stmt));
+  if (ShouldVerifyPlans(options_.verify_plans)) {
+    PlanVerifier verifier({&catalog_, &mvs_, &exception_asts_});
+    SOFTDB_RETURN_IF_ERROR(verifier.VerifyLogical(*bound, "bind"));
   }
-  result.exec_stats.certificates_checked += cert_stats.certificates_checked;
-  result.exec_stats.certificates_failed += cert_stats.certificates_failed;
+  auto pkg = std::make_shared<CachedPlan>();
+  pkg->sql = sql;
+  // Backup plan: rewritten without any soft constraints (IC-driven rules
+  // such as FK join elimination still apply — those cannot be overturned).
+  OptimizerContext backup_ctx = MakeContext();
+  backup_ctx.scs = nullptr;
+  backup_ctx.enable_exception_asts = false;
+  Rewriter backup_rewriter(&backup_ctx);
+  SOFTDB_ASSIGN_OR_RETURN(pkg->backup,
+                          backup_rewriter.Rewrite(bound->Clone()));
+  OptimizerContext ctx = MakeContext();
+  Rewriter rewriter(&ctx);
+  SOFTDB_ASSIGN_OR_RETURN(pkg->primary, rewriter.Rewrite(std::move(bound)));
+  // Translation validation (DESIGN.md §13): every SC-driven rewrite just
+  // performed must prove itself to the independent checker before the
+  // package is cached or run.
+  SOFTDB_RETURN_IF_ERROR(CertifyCertificates(ctx.certificates, certs));
+  SOFTDB_RETURN_IF_ERROR(CertifyCertificates(backup_ctx.certificates, certs));
+  pkg->certificates = std::move(ctx.certificates);
+  pkg->backup_certificates = std::move(backup_ctx.certificates);
+  pkg->applied_rules = std::move(ctx.applied_rules);
+  pkg->used_scs = std::move(ctx.used_scs);
+  std::sort(pkg->used_scs.begin(), pkg->used_scs.end());
+  pkg->used_scs.erase(std::unique(pkg->used_scs.begin(), pkg->used_scs.end()),
+                      pkg->used_scs.end());
+  // Build-time epochs of the rewrite-consumed SCs (estimation-only twins
+  // excluded): the primary's answers depend on these staying put.
+  pkg->sc_epochs = SnapshotScEpochs(ctx.rewrite_consumed_scs);
+  if (cache) return plan_cache_.Put(std::move(pkg));
+  return pkg;
+}
+
+Result<QueryResult> SoftDb::RunGuarded(const CachedPlan& pkg,
+                                       QueryResult result,
+                                       const QueryContext* query) {
+  // A package whose rewrite-consumed SCs moved on since their stamps is
+  // stale even when `using_backup` never flipped (e.g. a synchronous
+  // repair silently widened an SC): start on the SC-free backup. Otherwise
+  // the still-current stamps guard the primary's run.
+  ScEpochSnapshot guard = plan_cache_.ScEpochs(pkg);
+  result.used_backup_plan =
+      pkg.using_backup.load(std::memory_order_acquire) ||
+      ScEpochsChanged(guard);
+  if (result.used_backup_plan) guard.clear();
+  SOFTDB_RETURN_IF_ERROR(
+      RunPlan(result.used_backup_plan ? *pkg.backup : *pkg.primary,
+              /*zone_maps=*/true, &guard, &result, query));
+  if (!ScEpochsChanged(guard)) return result;
+  // An SC the run consumed (a rewrite ASC or a zone map) moved mid-query:
+  // the rows just produced are in jeopardy. Re-execute exactly once on the
+  // SC-free backup lowered without zone maps; it consumes no SC, so
+  // nothing can overturn it and the retry cannot cascade.
+  result.used_backup_plan = true;
+  SOFTDB_RETURN_IF_ERROR(RunPlan(*pkg.backup, /*zone_maps=*/false,
+                                 /*guard=*/nullptr, &result, query));
+  result.exec_stats.degraded_retries = 1;
   return result;
 }
 
@@ -359,182 +413,39 @@ Result<QueryResult> SoftDb::ExecuteSelect(const std::string& sql,
                                           const SelectStmt& stmt,
                                           bool explain_only,
                                           const QueryContext* query) {
-  if (options_.use_plan_cache && !explain_only) {
-    // Get hands back a shared_ptr: a concurrent DROP TABLE may evict the
-    // entry mid-execution, and the reference keeps the plan alive.
-    if (std::shared_ptr<CachedPlan> cached = plan_cache_.Get(sql)) {
-      ++cached->executions;
-      QueryResult result;
-      result.from_plan_cache = true;
-      result.used_scs = cached->used_scs;
-      // A package whose rewrite-consumed SCs have moved on since the
-      // package's epoch baseline is stale even when `using_backup` never
-      // flipped (e.g. a synchronous repair silently widened an SC). Run
-      // the SC-free backup directly; no retry is needed because nothing
-      // wrong ran. An epoch-aware Rearm resets the baseline after repair.
-      const ScEpochSnapshot baseline = plan_cache_.ScEpochs(*cached);
-      const bool stale_at_hit = ScEpochsChanged(baseline);
-      const bool use_backup =
-          cached->using_backup.load(std::memory_order_acquire) || stale_at_hit;
-      result.used_backup_plan = use_backup;
-      // A cached package's certificates are re-checked on every hit: the
-      // plan may be arbitrarily old, so its transformations must re-prove
-      // themselves against the live registries before the plan runs. Both
-      // plans' sets are checked — mirroring the build-time pass — so the
-      // per-execution count is identical whether the package was just
-      // built or resurrected from the cache. The epoch fast path keeps
-      // the steady-state cost to an epoch comparison per certificate.
-      ExecStats hit_cert_stats;
-      SOFTDB_RETURN_IF_ERROR(CertifyCertificates(
-          cached->certificates, &hit_cert_stats, /*epoch_fast_path=*/true));
-      SOFTDB_RETURN_IF_ERROR(
-          CertifyCertificates(cached->backup_certificates, &hit_cert_stats,
-                              /*epoch_fast_path=*/true));
-      if (use_backup) {
-        SOFTDB_ASSIGN_OR_RETURN(
-            QueryResult backup_result,
-            RunPlan(*cached->backup, std::move(result), query));
-        backup_result.exec_stats.certificates_checked +=
-            hit_cert_stats.certificates_checked;
-        backup_result.exec_stats.certificates_failed +=
-            hit_cert_stats.certificates_failed;
-        return backup_result;
-      }
-      // Pre-execution live epochs: the completion check below detects
-      // overturns that happen while the primary plan runs.
-      ScEpochSnapshot pre_run;
-      pre_run.reserve(baseline.size());
-      for (const auto& [name, epoch] : baseline) {
-        if (const SoftConstraint* sc = scs_.Find(name)) {
-          pre_run.emplace_back(name, sc->epoch());
-        }
-      }
-      SOFTDB_ASSIGN_OR_RETURN(QueryResult primary_result,
-                              RunPlan(*cached->primary, std::move(result),
-                                      query));
-      if (!ScEpochsChanged(pre_run)) {
-        primary_result.exec_stats.certificates_checked +=
-            hit_cert_stats.certificates_checked;
-        primary_result.exec_stats.certificates_failed +=
-            hit_cert_stats.certificates_failed;
-        return primary_result;
-      }
-      // Mid-query overturn of a consumed ASC: the rows just produced are in
-      // jeopardy. Transparently re-execute exactly once on the SC-free
-      // backup; the backup consumed no SCs, so it cannot retry again. The
-      // backup's certificates are re-checked against the post-overturn
-      // registries — a stale certificate never survives the re-plan.
-      QueryResult retry;
-      retry.from_plan_cache = true;
-      retry.used_scs = cached->used_scs;
-      retry.used_backup_plan = true;
-      ExecStats retry_cert_stats;
-      SOFTDB_RETURN_IF_ERROR(CertifyCertificates(cached->backup_certificates,
-                                                 &retry_cert_stats));
-      SOFTDB_ASSIGN_OR_RETURN(retry,
-                              RunPlan(*cached->backup, std::move(retry),
-                                      query));
-      retry.exec_stats.degraded_retries = 1;
-      retry.exec_stats.certificates_checked +=
-          retry_cert_stats.certificates_checked;
-      retry.exec_stats.certificates_failed +=
-          retry_cert_stats.certificates_failed;
-      return retry;
-    }
-  }
-
-  Binder binder(&catalog_);
-  SOFTDB_ASSIGN_OR_RETURN(PlanPtr bound, binder.BindSelect(stmt));
-
-  if (ShouldVerifyPlans(options_.verify_plans)) {
-    PlanVerifier verifier({&catalog_, &mvs_, &exception_asts_});
-    SOFTDB_RETURN_IF_ERROR(verifier.VerifyLogical(*bound, "bind"));
-  }
-
-  // Backup plan: rewritten without any soft constraints (IC-driven rules
-  // such as FK join elimination still apply — those cannot be overturned).
-  OptimizerContext backup_ctx = MakeContext();
-  backup_ctx.scs = nullptr;
-  backup_ctx.enable_exception_asts = false;
-  Rewriter backup_rewriter(&backup_ctx);
-  SOFTDB_ASSIGN_OR_RETURN(PlanPtr backup,
-                          backup_rewriter.Rewrite(bound->Clone()));
-
-  OptimizerContext ctx = MakeContext();
-  Rewriter rewriter(&ctx);
-  SOFTDB_ASSIGN_OR_RETURN(PlanPtr primary, rewriter.Rewrite(std::move(bound)));
-
-  // Translation validation (DESIGN.md §13): every SC-driven rewrite just
-  // performed must prove itself to the independent checker before the plan
-  // is cached or run.
-  ExecStats rewrite_cert_stats;
-  SOFTDB_RETURN_IF_ERROR(
-      CertifyCertificates(ctx.certificates, &rewrite_cert_stats));
-  SOFTDB_RETURN_IF_ERROR(
-      CertifyCertificates(backup_ctx.certificates, &rewrite_cert_stats));
-
+  const bool use_cache = options_.use_plan_cache && !explain_only;
+  // Get hands back a shared_ptr: a concurrent DROP TABLE may evict the
+  // entry mid-execution, and the reference keeps the package alive.
+  std::shared_ptr<CachedPlan> pkg = use_cache ? plan_cache_.Get(sql) : nullptr;
+  const bool fresh = pkg == nullptr;
   QueryResult result;
-  result.applied_rules = ctx.applied_rules;
-  std::vector<std::string> used = ctx.used_scs;
-  std::sort(used.begin(), used.end());
-  used.erase(std::unique(used.begin(), used.end()), used.end());
-  result.used_scs = used;
-
-  if (explain_only) {
-    CardinalityEstimator estimator = MakeEstimator();
-    PhysicalPlanner planner(&ctx, &estimator);
-    result.estimated_rows = estimator.EstimateRows(*primary);
-    result.estimated_cost = planner.EstimateCost(*primary);
-    result.plan_text = primary->ToString();
-    result.exec_stats.certificates_checked +=
-        rewrite_cert_stats.certificates_checked;
-    result.exec_stats.certificates_failed +=
-        rewrite_cert_stats.certificates_failed;
-    return result;
+  if (fresh) {
+    SOFTDB_ASSIGN_OR_RETURN(
+        pkg, BuildPackage(sql, stmt, use_cache, &result.exec_stats));
+  } else {
+    ++pkg->executions;
+    // A hit may come long after Put, so both certificate sets re-prove
+    // themselves before the plan runs, as BuildPackage's full check does
+    // for a fresh package (same count either way). The epoch fast path
+    // keeps this to an epoch comparison per certificate while no premise
+    // SC moved.
+    SOFTDB_RETURN_IF_ERROR(CertifyCertificates(
+        pkg->certificates, &result.exec_stats, /*epoch_fast_path=*/true));
+    SOFTDB_RETURN_IF_ERROR(CertifyCertificates(pkg->backup_certificates,
+                                               &result.exec_stats,
+                                               /*epoch_fast_path=*/true));
   }
-
-  // Build-time epochs of the rewrite-consumed SCs (estimation-only twins
-  // excluded): the plan's answers depend on these staying put.
-  const ScEpochSnapshot sc_epochs = SnapshotScEpochs(ctx.rewrite_consumed_scs);
-
-  if (options_.use_plan_cache) {
-    auto clone_certs = [](const std::vector<RewriteCertificate>& certs) {
-      std::vector<RewriteCertificate> out;
-      out.reserve(certs.size());
-      for (const RewriteCertificate& c : certs) out.push_back(c.Clone());
-      return out;
-    };
-    plan_cache_.Put(sql, primary->Clone(), backup->Clone(), used, sc_epochs,
-                    clone_certs(ctx.certificates),
-                    clone_certs(backup_ctx.certificates));
-  }
-  SOFTDB_ASSIGN_OR_RETURN(QueryResult primary_result,
-                          RunPlan(*primary, std::move(result), query));
-  if (!ScEpochsChanged(sc_epochs)) {
-    primary_result.exec_stats.certificates_checked +=
-        rewrite_cert_stats.certificates_checked;
-    primary_result.exec_stats.certificates_failed +=
-        rewrite_cert_stats.certificates_failed;
-    return primary_result;
-  }
-  // A consumed ASC was overturned (or repaired to different parameters)
-  // while the primary plan ran: degrade once to the SC-free backup. The
-  // backup's certificates are re-checked against the post-overturn
-  // registries first — a certificate minted before the epoch moved must
-  // never ride through a re-plan unexamined.
-  SOFTDB_RETURN_IF_ERROR(
-      CertifyCertificates(backup_ctx.certificates, &rewrite_cert_stats));
-  QueryResult retry;
-  retry.applied_rules = primary_result.applied_rules;
-  retry.used_scs = primary_result.used_scs;
-  retry.used_backup_plan = true;
-  SOFTDB_ASSIGN_OR_RETURN(retry, RunPlan(*backup, std::move(retry), query));
-  retry.exec_stats.degraded_retries = 1;
-  retry.exec_stats.certificates_checked +=
-      rewrite_cert_stats.certificates_checked;
-  retry.exec_stats.certificates_failed +=
-      rewrite_cert_stats.certificates_failed;
-  return retry;
+  result.from_plan_cache = !fresh;
+  result.applied_rules = pkg->applied_rules;
+  result.used_scs = pkg->used_scs;
+  if (!explain_only) return RunGuarded(*pkg, std::move(result), query);
+  OptimizerContext ctx = MakeContext();
+  CardinalityEstimator estimator = MakeEstimator();
+  PhysicalPlanner planner(&ctx, &estimator);
+  result.estimated_rows = estimator.EstimateRows(*pkg->primary);
+  result.estimated_cost = planner.EstimateCost(*pkg->primary);
+  result.plan_text = pkg->primary->ToString();
+  return result;
 }
 
 void SoftDb::RecordImpact(const DmlImpact& impact) {
@@ -828,6 +739,14 @@ Result<QueryResult> SoftDb::Dispatch(const std::string& sql,
     if (wal_ != nullptr && !recovering_) return wal_->LogDdl(sql);
     return Status::OK();
   };
+  // One writer at a time (§8): every statement that changes table contents
+  // or the catalog runs under write_mu_, so concurrent sessions never race
+  // in Table::Append, index splices or SC maintenance. Reads take no lock.
+  std::unique_lock<std::mutex> write_lock(write_mu_, std::defer_lock);
+  if (stmt.kind != Statement::Kind::kSelect &&
+      stmt.kind != Statement::Kind::kExplain) {
+    write_lock.lock();
+  }
   QueryResult result;
   switch (stmt.kind) {
     case Statement::Kind::kSelect:

@@ -50,8 +50,9 @@ struct EngineOptions {
   bool use_twins_in_estimation = true;
   /// Consult armed kBlockZoneMap SCs at physical-planning time: scans get
   /// per-block skip sets for blocks whose min/max/null-count envelope
-  /// provably contradicts the predicates. Mid-query widenings degrade to a
-  /// zone-map-free re-execution (see RunPlan).
+  /// provably contradicts the predicates. A mid-query widening degrades the
+  /// query once to its SC-free backup plan, lowered without zone maps (see
+  /// RunGuarded).
   bool enable_zone_maps = true;
   /// Evaluate batch comparison filters through the branch-free SIMD
   /// kernels (exec/kernels.h) where types permit; OFF forces the scalar
@@ -131,6 +132,9 @@ struct QueryResult {
   std::string plan_text;
   bool from_plan_cache = false;
   bool used_backup_plan = false;
+  // Served statements only: 1-based order in which the server's workers
+  // dequeued it (0 when executed directly on SoftDb).
+  std::uint64_t dequeue_seq = 0;
 };
 
 /// The top-level engine: catalog + statistics + integrity and soft
@@ -247,11 +251,27 @@ class SoftDb {
   /// and per-statement WAL stats attribution.
   Result<QueryResult> Dispatch(const std::string& sql,
                                const QueryContext* query);
+  /// Every SELECT and EXPLAIN: fetch or build the package, then run it
+  /// through RunGuarded (EXPLAIN only estimates the primary).
   Result<QueryResult> ExecuteSelect(const std::string& sql,
                                     const SelectStmt& stmt, bool explain_only,
                                     const QueryContext* query);
-  Result<QueryResult> RunPlan(const PlanNode& plan, QueryResult result,
-                              const QueryContext* query);
+  /// Binds, verifies, rewrites with and without SCs, fully certifies both
+  /// certificate sets (into `certs`) and stamps the consumed SCs' epochs.
+  /// With `cache` set the package is inserted into the plan cache.
+  Result<std::shared_ptr<CachedPlan>> BuildPackage(
+      const std::string& sql, const SelectStmt& stmt, bool cache,
+      ExecStats* certs);
+  /// The §4.1 package run: the primary (or the backup when the package is
+  /// flipped or stale) under one epoch guard, degrading at most once to the
+  /// SC-free backup lowered without zone maps.
+  Result<QueryResult> RunGuarded(const CachedPlan& pkg, QueryResult result,
+                                 const QueryContext* query);
+  /// Lowers `plan` (zone maps only when `zone_maps`), certifies what
+  /// physical planning emitted, appends the SCs it consumed to `guard`
+  /// (when non-null), and executes into `result`.
+  Status RunPlan(const PlanNode& plan, bool zone_maps, ScEpochSnapshot* guard,
+                 QueryResult* result, const QueryContext* query);
   /// Current epochs of the named (rewrite-consumed) SCs, deduplicated.
   ScEpochSnapshot SnapshotScEpochs(const std::vector<std::string>& names);
 
@@ -304,6 +324,8 @@ class SoftDb {
   std::uint64_t ic_name_counter_ = 0;
   std::map<std::string, std::string> exception_asts_;
   std::mutex scheduler_mu_;  // Guards lazy creation/resize of scheduler_.
+  // Serializes writing statements (Dispatch) and Checkpoint: one writer.
+  std::mutex write_mu_;
   std::unique_ptr<TaskScheduler> scheduler_;
   std::unique_ptr<RepairWorker> repair_worker_;
   std::unique_ptr<DurabilityManager> wal_;

@@ -44,6 +44,10 @@ std::shared_ptr<CachedPlan> PlanCache::Put(
   entry->sc_epochs = std::move(sc_epochs);
   entry->certificates = std::move(certificates);
   entry->backup_certificates = std::move(backup_certificates);
+  return Put(std::move(entry));
+}
+
+std::shared_ptr<CachedPlan> PlanCache::Put(std::shared_ptr<CachedPlan> entry) {
   if (entry->primary != nullptr) {
     entry->tables = CollectPlanTables(*entry->primary);
   }
@@ -59,7 +63,7 @@ std::shared_ptr<CachedPlan> PlanCache::Put(
   // runnable package, it just is not cached for the next session.
   if (SOFTDB_FAILPOINT_FIRED("plan_cache.insert")) return entry;
   std::lock_guard<std::mutex> lk(mu_);
-  entries_[sql] = entry;
+  entries_[entry->sql] = entry;
   return entry;
 }
 
@@ -113,25 +117,6 @@ std::size_t PlanCache::OnTableDropped(const std::string& table) {
     }
   }
   return evicted;
-}
-
-std::size_t PlanCache::Rearm(const std::vector<std::string>& active_scs) {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::size_t rearmed = 0;
-  for (auto& [_, entry] : entries_) {
-    if (!entry->using_backup.load(std::memory_order_acquire)) continue;
-    const bool all_active = std::all_of(
-        entry->used_scs.begin(), entry->used_scs.end(),
-        [&](const std::string& name) {
-          return std::find(active_scs.begin(), active_scs.end(), name) !=
-                 active_scs.end();
-        });
-    if (all_active) {
-      entry->using_backup.store(false, std::memory_order_release);
-      ++rearmed;
-    }
-  }
-  return rearmed;
 }
 
 std::size_t PlanCache::Rearm(

@@ -34,11 +34,12 @@ struct CachedPlan {
   /// Rewrite-consumed SCs with the epoch each had at package build time
   /// (estimation-only twins excluded — their overturn can never make the
   /// primary plan wrong). The engine compares these against the live
-  /// epochs on every cache hit, catching silent parameter changes (e.g. a
-  /// synchronous repair that widened an SC without ever flipping
-  /// `using_backup`). The epoch-aware Rearm re-stamps them, accepting the
-  /// repaired SC as the package's new baseline. After Put, read and write
-  /// only through PlanCache (guarded by the cache mutex).
+  /// epochs before every run and guards the primary's run with them,
+  /// catching silent parameter changes (e.g. a synchronous repair that
+  /// widened an SC without ever flipping `using_backup`). The epoch-aware
+  /// Rearm re-stamps them, accepting the repaired SC as the package's new
+  /// baseline. After Put, read and write only through PlanCache (guarded
+  /// by the cache mutex).
   std::vector<std::pair<std::string, std::uint64_t>> sc_epochs;
   /// Rewrite certificates of each plan (DESIGN.md §13), re-checked on
   /// every cache hit before the plan runs: a hit long after Put must still
@@ -47,6 +48,7 @@ struct CachedPlan {
   /// Immutable after Put, like the plan trees.
   std::vector<RewriteCertificate> certificates;         // For `primary`.
   std::vector<RewriteCertificate> backup_certificates;  // For `backup`.
+  std::vector<std::string> applied_rules;  // EXPLAIN annotations of `primary`.
   std::vector<std::string> tables;    // Base tables either plan reads.
   std::atomic<bool> using_backup{false};
   std::atomic<std::uint64_t> executions{0};
@@ -84,6 +86,11 @@ class PlanCache {
       std::vector<RewriteCertificate> certificates = {},
       std::vector<RewriteCertificate> backup_certificates = {});
 
+  /// Inserts a package built by the caller (every field but `tables`,
+  /// which Put derives, must be filled in: the entry is visible to other
+  /// sessions as soon as it is cached). Same failpoint behaviour as above.
+  std::shared_ptr<CachedPlan> Put(std::shared_ptr<CachedPlan> entry);
+
   /// Returns the entry or null; counts hit/miss. The shared_ptr keeps the
   /// package alive across eviction — use it, don't re-Get.
   std::shared_ptr<CachedPlan> Get(const std::string& sql);
@@ -98,14 +105,11 @@ class PlanCache {
   /// (and counts toward `invalidations_avoided`). Returns evictions.
   std::size_t OnTableDropped(const std::string& table);
 
-  /// Re-arms packages after an SC returns to active (e.g. async repair
-  /// completed): entries whose every used SC is in `active_scs` go back to
-  /// the primary plan.
-  std::size_t Rearm(const std::vector<std::string>& active_scs);
-
-  /// Epoch-aware re-arm: additionally re-stamps each re-armed package's
-  /// `sc_epochs` with the repaired SCs' current epochs, so the hit-time
-  /// staleness check accepts the repair as the new baseline.
+  /// Re-arms packages after SCs return to active (e.g. async repair
+  /// completed): entries whose every used SC is in `active_epochs` go back
+  /// to the primary plan, and their `sc_epochs` are re-stamped with the
+  /// repaired SCs' current epochs, so the pre-run staleness check accepts
+  /// the repair as the new baseline.
   std::size_t Rearm(
       const std::vector<std::pair<std::string, std::uint64_t>>& active_epochs);
 

@@ -243,6 +243,7 @@ void Dispatcher::WorkerLoop() {
       auto it = BestLocked();
       req = *it;
       queue_.erase(it);
+      req->dequeue_seq = ++dequeued_;
       running_.push_back(req);
     }
     ServeRequest(req);
@@ -291,6 +292,7 @@ void Dispatcher::ServeRequest(const RequestPtr& req) {
 
   Result<QueryResult> result = db_->Execute(req->sql, &req->ctx);
   if (result.ok()) {
+    result->dequeue_seq = req->dequeue_seq;
     stats_.succeeded.fetch_add(1, std::memory_order_relaxed);
     stats_.rows_output.fetch_add(result->exec_stats.rows_output,
                                  std::memory_order_relaxed);

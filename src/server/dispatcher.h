@@ -107,6 +107,7 @@ class Dispatcher {
     Session* session = nullptr;
     int priority = 0;
     std::uint64_t seq = 0;  // FIFO tiebreak within a priority.
+    std::uint64_t dequeue_seq = 0;  // Worker dequeue order (1-based).
     QueryContext ctx;       // Effective context; owns token for the run.
     std::chrono::steady_clock::time_point enqueued_at{};
 
@@ -148,6 +149,7 @@ class Dispatcher {
   std::vector<RequestPtr> running_;   // In-flight on a worker.
   std::vector<std::thread> workers_;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t dequeued_ = 0;  // Requests handed to a worker so far.
   bool paused_ = false;
   bool draining_ = false;   // Admissions closed.
   bool shutdown_ = false;   // Workers must exit.

@@ -12,6 +12,11 @@ bool KeyLess(const Value& a, const Value& b) {
   return cmp.ok() && *cmp < 0;
 }
 
+// 1 when key-order neighbours `a` and `b` live on different data pages.
+std::size_t PageSwitch(RowId a, RowId b) {
+  return a / kRowsPerPage != b / kRowsPerPage ? 1 : 0;
+}
+
 }  // namespace
 
 Index::Index(std::string name, const Table* table, ColumnIdx column)
@@ -33,6 +38,10 @@ void Index::Rebuild() {
               if (cmp.ok() && *cmp != 0) return *cmp < 0;
               return a.row < b.row;
             });
+  page_switches_ = 0;
+  for (std::size_t i = 1; i < entries_.size(); ++i) {
+    page_switches_ += PageSwitch(entries_[i - 1].row, entries_[i].row);
+  }
 }
 
 Status Index::Insert(const Value& key, RowId row) {
@@ -44,6 +53,14 @@ Status Index::Insert(const Value& key, RowId row) {
                                if (cmp.ok() && *cmp != 0) return *cmp < 0;
                                return a.row < b.row;
                              });
+  // Splicing between two neighbours replaces their adjacency with two.
+  const bool has_prev = it != entries_.begin();
+  const bool has_next = it != entries_.end();
+  if (has_prev && has_next) {
+    page_switches_ -= PageSwitch((it - 1)->row, it->row);
+  }
+  if (has_prev) page_switches_ += PageSwitch((it - 1)->row, row);
+  if (has_next) page_switches_ += PageSwitch(row, it->row);
   entries_.insert(it, std::move(e));
   return Status::OK();
 }
@@ -55,6 +72,13 @@ Status Index::Remove(const Value& key, RowId row) {
     auto cmp = entries_[i].key.Compare(key);
     if (!cmp.ok() || *cmp != 0) break;
     if (entries_[i].row == row) {
+      const bool has_prev = i > 0;
+      const bool has_next = i + 1 < entries_.size();
+      if (has_prev) page_switches_ -= PageSwitch(entries_[i - 1].row, row);
+      if (has_next) page_switches_ -= PageSwitch(row, entries_[i + 1].row);
+      if (has_prev && has_next) {
+        page_switches_ += PageSwitch(entries_[i - 1].row, entries_[i + 1].row);
+      }
       entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
       return Status::OK();
     }
@@ -103,18 +127,10 @@ std::size_t Index::RangeSize(const std::optional<Value>& lo, bool lo_inclusive,
 }
 
 double Index::PageSwitchDensity() const {
-  if (density_cache_size_ == entries_.size()) return density_cache_;
   if (entries_.empty()) return 1.0;
-  std::uint64_t switches = 1;  // First entry always fetches a page.
-  for (std::size_t i = 1; i < entries_.size(); ++i) {
-    if (entries_[i].row / kRowsPerPage != entries_[i - 1].row / kRowsPerPage) {
-      ++switches;
-    }
-  }
-  density_cache_ =
-      static_cast<double>(switches) / static_cast<double>(entries_.size());
-  density_cache_size_ = entries_.size();
-  return density_cache_;
+  // The first entry always fetches a page.
+  return static_cast<double>(page_switches_ + 1) /
+         static_cast<double>(entries_.size());
 }
 
 std::optional<Value> Index::MinKey() const {

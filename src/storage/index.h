@@ -71,9 +71,10 @@ class Index {
   const Table* table_;
   ColumnIdx column_;
   std::vector<Entry> entries_;
-  // PageSwitchDensity cache, keyed by entry count.
-  mutable double density_cache_ = 1.0;
-  mutable std::size_t density_cache_size_ = ~std::size_t{0};
+  // Key-order neighbours in entries_ whose rows sit on different data
+  // pages; Insert and Remove adjust it at the (at most two) adjacencies
+  // they touch, so PageSwitchDensity is O(1) and never stale.
+  std::size_t page_switches_ = 0;
 };
 
 }  // namespace softdb

@@ -702,6 +702,8 @@ Status SoftDb::Checkpoint() {
     return Status::InvalidArgument(
         "checkpoint requires a WAL (set EngineOptions::wal_dir)");
   }
+  // The snapshot must not interleave with a writing statement.
+  std::lock_guard<std::mutex> write_lock(write_mu_);
   const std::string& dir = wal_->dir();
   WalWriter& writer = wal_->writer();
 

@@ -466,7 +466,7 @@ TEST(PlanCacheTest, RearmAfterRepair) {
   cache.Put("q", std::move(plan), std::move(backup), {"sc_a"});
   EXPECT_EQ(cache.OnScViolated("sc_a"), 1u);
   EXPECT_TRUE(cache.Get("q")->using_backup);
-  EXPECT_EQ(cache.Rearm({"sc_a"}), 1u);
+  EXPECT_EQ(cache.Rearm({{"sc_a", 1}}), 1u);
   EXPECT_FALSE(cache.Get("q")->using_backup);
   // Unrelated SC violations touch nothing.
   EXPECT_EQ(cache.OnScViolated("sc_b"), 0u);

@@ -373,6 +373,57 @@ TEST_F(RobustnessTest, MidQueryOverturnOnCachedPlanAlsoRetriesOnce) {
   EXPECT_EQ(r->rows.ToString(), expected);
 }
 
+TEST_F(RobustnessTest, FreshAndCachedRunsReportTheSamePackage) {
+  const std::string query = "SELECT * FROM t WHERE y = 30";
+  const auto overturn_mid_run = [](SoftDb& db) {
+    FP().Enable("exec.drain", Always());
+    FP().SetAction("exec.drain", [&db] {
+      db.scs().Find("win")->set_state(ScState::kViolated);
+      FP().Disable("exec.drain");
+    });
+  };
+
+  // Clean: a hit re-proves the same certificates and reports the same
+  // applied rules as the run that built the package.
+  SoftDb clean;
+  MakeTable(clean, 50);
+  AddOffsetSc(clean, ScMaintenancePolicy::kTolerate);
+  const QueryResult built = Run(clean, query);
+  const QueryResult hit = Run(clean, query);
+  ASSERT_TRUE(hit.from_plan_cache);
+  EXPECT_FALSE(built.applied_rules.empty());
+  EXPECT_EQ(hit.applied_rules, built.applied_rules);
+  EXPECT_GT(built.exec_stats.certificates_checked, 0u);
+  EXPECT_EQ(hit.exec_stats.certificates_checked,
+            built.exec_stats.certificates_checked);
+
+  // Degraded: the same holds when the consumed ASC is overturned mid-run,
+  // whether the package was just built or came from the cache.
+  SoftDb fresh_db;
+  MakeTable(fresh_db, 50);
+  AddOffsetSc(fresh_db, ScMaintenancePolicy::kTolerate);
+  overturn_mid_run(fresh_db);
+  const QueryResult fresh_retry = Run(fresh_db, query);
+
+  SoftDb cached_db;
+  MakeTable(cached_db, 50);
+  AddOffsetSc(cached_db, ScMaintenancePolicy::kTolerate);
+  Run(cached_db, query);
+  overturn_mid_run(cached_db);
+  const QueryResult cached_retry = Run(cached_db, query);
+
+  ASSERT_FALSE(fresh_retry.from_plan_cache);
+  ASSERT_TRUE(cached_retry.from_plan_cache);
+  for (const QueryResult* r : {&fresh_retry, &cached_retry}) {
+    EXPECT_EQ(r->exec_stats.degraded_retries, 1u);
+    EXPECT_TRUE(r->used_backup_plan);
+    EXPECT_EQ(r->rows.ToString(), built.rows.ToString());
+    EXPECT_EQ(r->applied_rules, built.applied_rules);
+    EXPECT_EQ(r->exec_stats.certificates_checked,
+              built.exec_stats.certificates_checked);
+  }
+}
+
 TEST_F(RobustnessTest, EstimationOnlyTwinNeverRetries) {
   SoftDb db;
   MakeTable(db, 50);

@@ -271,15 +271,13 @@ TEST_F(ServerTest, HighPrioritySessionDispatchedFirst) {
   ASSERT_TRUE(high.ok());
 
   server.dispatcher().PauseWorkers();
-  std::vector<int> order;
-  std::mutex order_mu;
+  // Each reply carries its dequeue order; the order in which the client
+  // threads wake after their replies says nothing about dispatch.
   auto submit = [&](Session* s, int tag) {
-    return std::async(std::launch::async, [&, s, tag] {
+    return std::async(std::launch::async, [s, tag]() -> std::uint64_t {
       auto r = s->Execute("SELECT id FROM t WHERE id = " +
                           std::to_string(tag));
-      std::lock_guard<std::mutex> lk(order_mu);
-      order.push_back(tag);
-      return r.ok();
+      return r.ok() ? r->dequeue_seq : 0;
     });
   };
   auto f1 = submit(*low, 1);
@@ -292,16 +290,15 @@ TEST_F(ServerTest, HighPrioritySessionDispatchedFirst) {
     return server.dispatcher().queue_depth() == 3;
   }));
   server.dispatcher().ResumeWorkers();
-  EXPECT_TRUE(f1.get());
-  EXPECT_TRUE(f2.get());
-  EXPECT_TRUE(f3.get());
-  // The high-priority statement (tag 3) completes before the same-aged
+  const std::uint64_t seq1 = f1.get();
+  const std::uint64_t seq2 = f2.get();
+  const std::uint64_t seq3 = f3.get();
+  EXPECT_GT(seq1, 0u);
+  EXPECT_GT(seq2, 0u);
+  EXPECT_GT(seq3, 0u);
+  // The high-priority statement (tag 3) is dequeued before the same-aged
   // low-priority one (tag 2); tag 1 vs 3 order depends on dequeue timing.
-  std::lock_guard<std::mutex> lk(order_mu);
-  auto pos = [&](int tag) {
-    return std::find(order.begin(), order.end(), tag) - order.begin();
-  };
-  EXPECT_LT(pos(3), pos(2));
+  EXPECT_LT(seq3, seq2);
 }
 
 // --------------------------------------------------- deadline-aware queueing

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "storage/catalog.h"
 #include "storage/index.h"
 #include "storage/table.h"
@@ -230,6 +233,39 @@ TEST(IndexDensityTest, ClusteredVsRandom) {
   Index ri("ri", &random, 0);
   EXPECT_LT(ci.PageSwitchDensity(), 0.05);   // ~1/64.
   EXPECT_GT(ri.PageSwitchDensity(), 0.5);    // Nearly one page per row.
+}
+
+TEST(IndexDensityTest, IncrementalCountMatchesFullRecount) {
+  Schema s;
+  s.AddColumn({"v", TypeId::kInt64, false, "t"});
+  Table t("t", s);
+  Index idx("i", &t, 0);
+  std::mt19937 rng(20011);
+  std::vector<RowId> live;
+  for (int step = 0; step < 1500; ++step) {
+    const Value key = Value::Int64(static_cast<std::int64_t>(rng() % 500));
+    const unsigned op = live.empty() ? 0 : rng() % 4;
+    if (op <= 1) {  // INSERT.
+      auto rid = t.Append({key});
+      ASSERT_TRUE(rid.ok());
+      ASSERT_TRUE(idx.Insert(key, *rid).ok());
+      live.push_back(*rid);
+    } else {
+      const std::size_t pick = rng() % live.size();
+      const RowId rid = live[pick];
+      ASSERT_TRUE(idx.Remove(t.Get(rid, 0), rid).ok());
+      if (op == 2) {  // DELETE.
+        ASSERT_TRUE(t.Delete(rid).ok());
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else {  // UPDATE: same entry count, different neighbours.
+        ASSERT_TRUE(t.Set(rid, 0, key).ok());
+        ASSERT_TRUE(idx.Insert(key, rid).ok());
+      }
+    }
+    const Index recount("r", &t, 0);
+    ASSERT_EQ(idx.NumEntries(), recount.NumEntries()) << step;
+    ASSERT_EQ(idx.PageSwitchDensity(), recount.PageSwitchDensity()) << step;
+  }
 }
 
 // ---------------------------------------------------------------- Catalog

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "constraints/zone_map_sc.h"
 #include "engine/softdb.h"
 #include "storage/table.h"
@@ -204,6 +205,51 @@ TEST_F(ZoneMapTest, OutOfEnvelopeUpdateWidensAndBumpsEpoch) {
   EXPECT_EQ(w->SnapshotBlocks()[1].null_count, nulls1 + 1);
   const QueryResult nr = Run("SELECT * FROM m WHERE w IS NULL");
   EXPECT_EQ(nr.rows.NumRows(), kZoneMapBlockRows + 1);
+}
+
+TEST_F(ZoneMapTest, MidQueryWideningDegradesOnceToTheBackup) {
+  const std::string sql = "SELECT * FROM m WHERE v BETWEEN 2048 AND 2100";
+  Failpoints& fp = Failpoints::Instance();
+  Failpoints::Policy once;
+  once.trigger = Failpoints::Trigger::kAlways;
+  // Before the first output row, an out-of-envelope UPDATE moves a row of
+  // a block the running plan skips into the queried range: the map widens
+  // and bumps its epoch, so the plan's skip set is stale. The guard must
+  // notice and re-run the SC-free backup, without zone maps, exactly once.
+  const auto move_into_range = [&](const std::string& update) {
+    fp.Enable("exec.drain", once);
+    fp.SetAction("exec.drain", [&fp, this, update] {
+      fp.Disable("exec.drain");
+      EXPECT_TRUE(db_.Execute(update).ok()) << update;
+    });
+  };
+
+  move_into_range("UPDATE m SET v = 2050 WHERE v = 10");
+  const QueryResult fresh = Run(sql);
+  EXPECT_FALSE(fresh.from_plan_cache);
+  EXPECT_EQ(fresh.rows.NumRows(), 54u);  // 2048..2100 plus the moved row.
+  EXPECT_EQ(fresh.exec_stats.degraded_retries, 1u);
+  EXPECT_TRUE(fresh.used_backup_plan);
+  EXPECT_EQ(fresh.exec_stats.blocks_total, 0u);  // Zone maps off.
+  EXPECT_EQ(fresh.exec_stats.rows_scanned, kRows);
+
+  // The same on a cache hit: block 0 now reaches 2050, so moving another
+  // of its rows to 2051 widens it again.
+  move_into_range("UPDATE m SET v = 2051 WHERE v = 11");
+  auto hit = db_.Execute(sql);
+  fp.DisableAll();
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_TRUE(hit->from_plan_cache);
+  EXPECT_EQ(hit->rows.NumRows(), 55u);
+  EXPECT_EQ(hit->exec_stats.degraded_retries, 1u);
+  EXPECT_TRUE(hit->used_backup_plan);
+
+  // Nothing moves during a clean run: the primary with its skips again.
+  const QueryResult clean = Run(sql);
+  EXPECT_EQ(clean.rows.NumRows(), 55u);
+  EXPECT_EQ(clean.exec_stats.degraded_retries, 0u);
+  EXPECT_FALSE(clean.used_backup_plan);
+  EXPECT_EQ(clean.exec_stats.blocks_skipped, 2u);  // Blocks 1 and 3.
 }
 
 TEST_F(ZoneMapTest, DeletesLeaveTheEnvelopeLoose) {
