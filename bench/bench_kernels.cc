@@ -40,7 +40,6 @@ struct ConfigSample {
 
 ConfigSample TimeConfig(SoftDb* db, const std::string& sql, bool kernels_on,
                         bool zone_maps_on, int iterations = 60) {
-  db->options().use_vectorized = true;
   db->options().use_kernels = kernels_on;
   db->options().enable_zone_maps = zone_maps_on;
   db->plan_cache().Clear();
@@ -105,22 +104,6 @@ void PrintExperimentTable() {
 void EmitJson() {
   auto db = MakeWorkloadDb();
 
-  // Row-engine reference for scale.
-  db->options().use_vectorized = false;
-  db->options().enable_zone_maps = false;
-  db->plan_cache().Clear();
-  (void)MustExecute(db.get(), kSelective);
-  const auto r0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < 20; ++i) {
-    volatile std::uint64_t sink =
-        MustExecute(db.get(), kSelective).rows.NumRows();
-    (void)sink;
-  }
-  const double row_sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - r0)
-          .count() /
-      20;
-
   auto scalar = TimeConfig(db.get(), kSelective, false, false);
   auto kernel = TimeConfig(db.get(), kSelective, true, false);
   if (!db->MineZoneMaps("purchase").ok()) std::abort();
@@ -134,7 +117,6 @@ void EmitJson() {
         static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   j.Add("simd_capability", kernels::SimdCapability());
   j.Add("rows", scalar.warm.rows.NumRows());
-  j.Add("row_engine_sec_per_query", row_sec);
   j.Add("batch_scalar_sec_per_query", scalar.sec_per_query);
   j.Add("batch_kernel_sec_per_query", kernel.sec_per_query);
   j.Add("kernel_zonemap_sec_per_query", zoned.sec_per_query);

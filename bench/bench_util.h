@@ -164,44 +164,19 @@ class JsonWriter {
   std::vector<std::string> entries_;
 };
 
-/// Row-engine vs batch-engine A/B on one query: clears the plan cache per
-/// engine (so each engine plans once), warms, then times `iterations`
-/// executions. Aborts if the two engines disagree on the answer.
-struct EngineAb {
-  double row_sec = 0;    // Seconds per execution, row engine.
-  double batch_sec = 0;  // Seconds per execution, vectorized engine.
-  double speedup = 0;    // row_sec / batch_sec.
-  int iterations = 0;
-};
-
-inline EngineAb MeasureEngineAb(SoftDb* db, const std::string& sql,
-                                int iterations = 40) {
-  const bool saved = db->options().use_vectorized;
-  std::uint64_t row_answer = 0, batch_answer = 0;
-  auto time_engine = [&](bool vectorized, std::uint64_t* answer) {
-    db->options().use_vectorized = vectorized;
-    db->plan_cache().Clear();
-    *answer = MustExecute(db, sql).rows.NumRows();  // Warm: plan + caches.
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iterations; ++i) {
-      volatile std::uint64_t sink = MustExecute(db, sql).rows.NumRows();
-      (void)sink;
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count() / iterations;
-  };
-  EngineAb out;
-  out.iterations = iterations;
-  out.row_sec = time_engine(false, &row_answer);
-  out.batch_sec = time_engine(true, &batch_answer);
-  out.speedup = out.batch_sec > 0 ? out.row_sec / out.batch_sec : 0;
-  db->options().use_vectorized = saved;
+/// Seconds per execution of `sql`: clears the plan cache, warms once
+/// (plan + caches), then times `iterations` executions.
+inline double SecondsPerQuery(SoftDb* db, const std::string& sql,
+                              int iterations = 40) {
   db->plan_cache().Clear();
-  if (row_answer != batch_answer) {
-    std::fprintf(stderr, "engine A/B answer mismatch on %s\n", sql.c_str());
-    std::abort();
+  (void)MustExecute(db, sql);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < iterations; ++i) {
+    volatile std::uint64_t sink = MustExecute(db, sql).rows.NumRows();
+    (void)sink;
   }
-  return out;
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count() / iterations;
 }
 
 /// Removes a leading `--threads N[,M...]` from argv (before
@@ -241,16 +216,14 @@ struct ParallelSample {
   std::uint64_t morsels = 0;
 };
 
-/// Times `sql` on the vectorized engine at each thread count (1 = the
-/// serial batch engine; >1 = the morsel-driven parallel engine). Aborts if
+/// Times `sql` at each thread count (1 = serial execution; >1 = the
+/// morsel-driven parallel engine). Aborts if
 /// any thread count changes the answer — parallel output must be
 /// bit-identical to serial.
 inline std::vector<ParallelSample> MeasureParallelSweep(
     SoftDb* db, const std::string& sql,
     const std::vector<std::size_t>& thread_counts, int iterations = 40) {
-  const bool saved_vec = db->options().use_vectorized;
   const std::size_t saved_threads = db->options().num_threads;
-  db->options().use_vectorized = true;
 
   std::vector<ParallelSample> samples;
   std::string reference;  // Serialized first-run rows, for bit-identity.
@@ -284,7 +257,6 @@ inline std::vector<ParallelSample> MeasureParallelSweep(
     s.morsels = warm.exec_stats.morsels;
     samples.push_back(s);
   }
-  db->options().use_vectorized = saved_vec;
   db->options().num_threads = saved_threads;
   db->plan_cache().Clear();
   return samples;

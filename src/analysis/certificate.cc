@@ -717,60 +717,75 @@ CertificateCheckResult CertificateChecker::ValidateFactPremises(
 
   for (const CertificatePremise& p : cert.premises) {
     switch (p.kind) {
+      // A source may contribute several facts on one column (a two-sided
+      // CHECK yields `x >= lo` and `x <= hi`). All of them hold, so the
+      // recorded fact is sound iff it contains their intersection.
       case CertificatePremise::Kind::kIntervalFact: {
         bool matched = false;
+        Interval provided = Interval::Top();
         for (const auto& fact : fresh.intervals) {
           if (fact.source != p.source || fact.column != p.column) continue;
           matched = true;
-          if (p.interval.Contains(fact.interval)) break;
-          return Invalid("recorded interval " + p.interval.ToString() +
-                         " for column " + StrFormat("%u", p.column) +
-                         " is stronger than source '" + p.source +
-                         "' provides (" + fact.interval.ToString() + ")");
+          provided.Intersect(fact.interval);
         }
         if (!matched) {
           return Stale("source '" + p.source +
                        "' no longer provides an interval fact for column " +
                        StrFormat("%u", p.column));
         }
+        if (!p.interval.Contains(provided)) {
+          return Invalid("recorded interval " + p.interval.ToString() +
+                         " for column " + StrFormat("%u", p.column) +
+                         " is stronger than source '" + p.source +
+                         "' provides (" + provided.ToString() + ")");
+        }
         break;
       }
       case CertificatePremise::Kind::kDiffFact: {
         bool matched = false;
+        Interval provided = Interval::Top();
         for (const auto& fact : fresh.diffs) {
           if (fact.source != p.source || fact.x != p.x || fact.y != p.y) {
             continue;
           }
           matched = true;
-          if (p.interval.Contains(fact.range)) break;
-          return Invalid("recorded diff bound " + p.interval.ToString() +
-                         " is stronger than source '" + p.source +
-                         "' provides (" + fact.range.ToString() + ")");
+          provided.Intersect(fact.range);
         }
         if (!matched) {
           return Stale("source '" + p.source +
                        "' no longer provides a diff fact");
         }
+        if (!p.interval.Contains(provided)) {
+          return Invalid("recorded diff bound " + p.interval.ToString() +
+                         " is stronger than source '" + p.source +
+                         "' provides (" + provided.ToString() + ")");
+        }
         break;
       }
       case CertificatePremise::Kind::kBandFact: {
+        // Bands do not intersect into a band; the recorded one is sound
+        // when any of the source's bands on the same pair is as tight.
         bool matched = false;
+        bool entailed = false;
         for (const auto& fact : fresh.bands) {
           if (fact.source != p.source || fact.a != p.column ||
               fact.b != p.x) {
             continue;
           }
           matched = true;
-          if (fact.k == p.k && fact.c == p.c && p.eps >= fact.eps) break;
+          entailed = entailed ||
+                     (fact.k == p.k && fact.c == p.c && p.eps >= fact.eps);
+        }
+        if (!matched) {
+          return Stale("source '" + p.source +
+                       "' no longer provides a band fact");
+        }
+        if (!entailed) {
           return Invalid("recorded band (k=" + StrFormat("%g", p.k) +
                          ", c=" + StrFormat("%g", p.c) +
                          ", eps=" + StrFormat("%g", p.eps) +
                          ") is stronger than source '" + p.source +
                          "' provides");
-        }
-        if (!matched) {
-          return Stale("source '" + p.source +
-                       "' no longer provides a band fact");
         }
         break;
       }
@@ -925,7 +940,13 @@ CertificateCheckResult CertificateChecker::CheckZoneMapSkip(
   if (zm == nullptr || !zm->active() || !zm->IsAbsolute()) {
     return Stale("zone-map SC '" + zm_name + "' is gone or demoted");
   }
-  if (zm->epoch() != zm_epoch) {
+  // Blocks and epoch come from one snapshot: a re-mine publishes tighter
+  // blocks together with a new epoch, which makes the certificate stale,
+  // never a mismatch against the envelopes it recorded.
+  std::uint64_t snapshot_epoch = 0;
+  const std::vector<ZoneMapSc::BlockSma> blocks =
+      zm->SnapshotBlocks(&snapshot_epoch);
+  if (snapshot_epoch != zm_epoch) {
     return Stale("zone-map SC '" + zm_name + "' moved since planning");
   }
   if (zm->column() != cert.zm_column) {
@@ -969,7 +990,6 @@ CertificateCheckResult CertificateChecker::CheckZoneMapSkip(
     return Invalid("scan predicates impose no test on the mapped column");
   }
 
-  const std::vector<ZoneMapSc::BlockSma> blocks = zm->SnapshotBlocks();
   for (std::uint64_t b : cert.skipped_blocks) {
     auto it = block_premises.find(b);
     if (it == block_premises.end()) {

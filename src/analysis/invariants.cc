@@ -14,8 +14,6 @@ const char* InvariantName(Invariant invariant) {
       return "exception-ast-registry";
     case Invariant::kSelectionVector:
       return "selection-vector";
-    case Invariant::kLimitRowEngineOnly:
-      return "limit-row-engine-only";
     case Invariant::kRuntimeParams:
       return "runtime-params";
     case Invariant::kParallelSafety:

@@ -34,16 +34,13 @@ enum class Invariant : std::uint8_t {
   /// Batch selection vectors are strictly ascending, duplicate-free and in
   /// bounds.
   kSelectionVector,
-  /// LIMIT subtrees never contain a vectorized subtree (the PR 1 fallback
-  /// rule: batch read-ahead would skew early-exit ExecStats).
-  kLimitRowEngineOnly,
-  /// §4.2 runtime plan parameters are self-consistent and identical in
-  /// contract between the row and batch scan variants: in-bounds predicate
-  /// index, non-twin target, and matching predicate/index columns.
+  /// §4.2 runtime plan parameters are self-consistent, in the serial scan
+  /// and the parallel pipeline spec alike: in-bounds predicate index,
+  /// non-twin target, and matching predicate/index columns.
   kRuntimeParams,
   /// Parallel (morsel-driven) operators appear only where the planner may
-  /// place them: never under a LIMIT (which forces the row engine), with a
-  /// positive morsel size, and with pipeline specs whose stage chain is
+  /// place them: never under a LIMIT (which keeps its subtree serial),
+  /// with a positive morsel size, and with pipeline specs whose stage chain is
   /// well-formed (scan → filters → at most one project).
   kParallelSafety,
   /// Structural soundness: child arity per node kind, equi-key bounds,

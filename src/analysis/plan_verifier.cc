@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "exec/batch_operators.h"
 #include "exec/operators.h"
 #include "exec/parallel_operators.h"
 #include "plan/predicate.h"
@@ -547,9 +546,6 @@ void CheckExecutablePredicates(const std::vector<Predicate>& predicates,
   }
 }
 
-void CheckBatchOp(const BatchOperator& op, const std::string& path,
-                  Walk& w);
-
 /// Checks one morsel pipeline spec: twin-free executable predicates, sound
 /// §4.2 runtime params, and a well-formed stage chain (filters in any
 /// number, at most one project, and nothing after the project — the
@@ -580,13 +576,13 @@ void CheckPipelineSpec(const PipelineSpec& spec, const std::string& path,
   }
 }
 
-void CheckRowOp(const Operator& op, bool under_limit, const std::string& path,
-                Walk& w) {
+void CheckOp(const Operator& op, bool under_limit, const std::string& path,
+             Walk& w) {
   if (const auto* pipe = dynamic_cast<const ParallelPipelineOp*>(&op)) {
     if (under_limit) {
       w.Add(Invariant::kParallelSafety, path,
-            "parallel pipeline under a LIMIT (LIMIT subtrees must stay on "
-            "the serial row engine)");
+            "parallel pipeline under a LIMIT (LIMIT subtrees must stay "
+            "serial)");
     }
     if (pipe->morsel_rows() == 0) {
       w.Add(Invariant::kParallelSafety, path, "morsel size 0");
@@ -597,8 +593,8 @@ void CheckRowOp(const Operator& op, bool under_limit, const std::string& path,
   if (const auto* pj = dynamic_cast<const ParallelHashJoinOp*>(&op)) {
     if (under_limit) {
       w.Add(Invariant::kParallelSafety, path,
-            "parallel hash join under a LIMIT (LIMIT subtrees must stay on "
-            "the serial row engine)");
+            "parallel hash join under a LIMIT (LIMIT subtrees must stay "
+            "serial)");
     }
     if (pj->morsel_rows() == 0) {
       w.Add(Invariant::kParallelSafety, path, "morsel size 0");
@@ -606,16 +602,6 @@ void CheckRowOp(const Operator& op, bool under_limit, const std::string& path,
     CheckPipelineSpec(pj->probe_spec(), path + "/probe", w);
     CheckPipelineSpec(pj->build_spec(), path + "/build", w);
     CheckExecutablePredicates(pj->residual(), path, w);
-    return;
-  }
-  if (const auto* adapter = dynamic_cast<const BatchAdapterOp*>(&op)) {
-    if (under_limit) {
-      w.Add(Invariant::kLimitRowEngineOnly, path,
-            "vectorized subtree under a LIMIT (batch read-ahead would skew "
-            "early-exit ExecStats)");
-    }
-    const BatchOperator& child = adapter->batch_child();
-    CheckBatchOp(child, path + "/0:" + child.name(), w);
     return;
   }
   if (const auto* scan = dynamic_cast<const SeqScanOp*>(&op)) {
@@ -627,8 +613,6 @@ void CheckRowOp(const Operator& op, bool under_limit, const std::string& path,
     CheckExecutablePredicates(filter->predicates(), path, w);
   } else if (const auto* hj = dynamic_cast<const HashJoinOp*>(&op)) {
     CheckExecutablePredicates(hj->residual(), path, w);
-  } else if (const auto* smj = dynamic_cast<const SortMergeJoinOp*>(&op)) {
-    CheckExecutablePredicates(smj->residual(), path, w);
   } else if (const auto* nlj = dynamic_cast<const NestedLoopJoinOp*>(&op)) {
     CheckExecutablePredicates(nlj->conditions(), path, w);
   }
@@ -636,30 +620,8 @@ void CheckRowOp(const Operator& op, bool under_limit, const std::string& path,
   std::vector<const Operator*> children;
   op.AppendChildren(&children);
   for (std::size_t i = 0; i < children.size(); ++i) {
-    CheckRowOp(*children[i], under_limit || is_limit,
-               path + "/" + std::to_string(i) + ":" + children[i]->name(), w);
-  }
-}
-
-void CheckBatchOp(const BatchOperator& op, const std::string& path,
-                  Walk& w) {
-  if (const auto* scan = dynamic_cast<const BatchSeqScanOp*>(&op)) {
-    CheckExecutablePredicates(scan->predicates(), path, w);
-    CheckRuntimeParams(scan->runtime_params(), scan->predicates(), path, w);
-  } else if (const auto* iscan =
-                 dynamic_cast<const BatchIndexRangeScanOp*>(&op)) {
-    CheckExecutablePredicates(iscan->residual(), path, w);
-  } else if (const auto* filter = dynamic_cast<const BatchFilterOp*>(&op)) {
-    CheckExecutablePredicates(filter->predicates(), path, w);
-  } else if (const auto* hj = dynamic_cast<const BatchHashJoinOp*>(&op)) {
-    CheckExecutablePredicates(hj->residual(), path, w);
-  }
-  std::vector<const BatchOperator*> children;
-  op.AppendChildren(&children);
-  for (std::size_t i = 0; i < children.size(); ++i) {
-    CheckBatchOp(*children[i],
-                 path + "/" + std::to_string(i) + ":" + children[i]->name(),
-                 w);
+    CheckOp(*children[i], under_limit || is_limit,
+            path + "/" + std::to_string(i) + ":" + children[i]->name(), w);
   }
 }
 
@@ -677,7 +639,7 @@ std::vector<PlanViolation> PlanVerifier::CheckPhysical(
     const Operator& root, const std::string& phase) const {
   std::vector<PlanViolation> out;
   Walk w{&ctx_, &phase, &out};
-  CheckRowOp(root, /*under_limit=*/false, root.name(), w);
+  CheckOp(root, /*under_limit=*/false, root.name(), w);
   return out;
 }
 

@@ -30,10 +30,9 @@ Status ZoneMapSc::Mine(const Catalog& catalog) {
     b.max = b.has_value ? std::max(b.max, x) : x;
     b.has_value = true;
   }
-  {
-    std::unique_lock<std::shared_mutex> lk(params_mu_);
-    blocks_ = std::move(fresh);
-  }
+  std::unique_lock<std::shared_mutex> lk(params_mu_);
+  blocks_ = std::move(fresh);
+  BumpEpoch();
   return Status::OK();
 }
 
@@ -61,40 +60,39 @@ Status ZoneMapSc::FoldUpdatedRow(const Catalog& catalog, RowId rid,
   const Value old_v = table->Get(rid, column_);
   const Value& new_v = new_row[column_];
   bool widened = false;
-  {
-    std::unique_lock<std::shared_mutex> lk(params_mu_);
-    const std::size_t blk = BlockOf(rid);
-    if (blk >= blocks_.size()) blocks_.resize(blk + 1);
-    BlockSma& b = blocks_[blk];
-    if (new_v.is_null()) {
-      if (!old_v.is_null()) {
-        // Non-null → NULL raises the block's possible live-null count. The
-        // old value stays inside the (over-approximate) envelope.
-        ++b.null_count;
-        widened = true;
-      }
-    } else {
-      const double x = new_v.NumericValue();
-      if (!b.has_value) {
-        b.min = x;
-        b.max = x;
-        b.has_value = true;
-        widened = true;
-      } else if (x < b.min) {
-        b.min = x;
-        widened = true;
-      } else if (x > b.max) {
-        b.max = x;
-        widened = true;
-      }
-      // NULL → non-null leaves null_count as an upper bound (one-sided
-      // invariant); no tightening is attempted online.
+  std::unique_lock<std::shared_mutex> lk(params_mu_);
+  const std::size_t blk = BlockOf(rid);
+  if (blk >= blocks_.size()) blocks_.resize(blk + 1);
+  BlockSma& b = blocks_[blk];
+  if (new_v.is_null()) {
+    if (!old_v.is_null()) {
+      // Non-null → NULL raises the block's possible live-null count. The
+      // old value stays inside the (over-approximate) envelope.
+      ++b.null_count;
+      widened = true;
     }
+  } else {
+    const double x = new_v.NumericValue();
+    if (!b.has_value) {
+      b.min = x;
+      b.max = x;
+      b.has_value = true;
+      widened = true;
+    } else if (x < b.min) {
+      b.min = x;
+      widened = true;
+    } else if (x > b.max) {
+      b.max = x;
+      widened = true;
+    }
+    // NULL → non-null leaves null_count as an upper bound (one-sided
+    // invariant); no tightening is attempted online.
   }
   if (widened) {
     // Unlike appends, an update can move a row that an in-flight skip
     // decision already passed over; the epoch bump routes such plans
-    // through the standard degraded retry.
+    // through the standard degraded retry. Bumped under params_mu_, so a
+    // snapshot never pairs the widened blocks with the old epoch.
     BumpEpoch();
   }
   return Status::OK();

@@ -52,7 +52,9 @@ class ZoneMapSc final : public SoftConstraint {
   ColumnIdx column() const { return column_; }
 
   /// Exact (re)computation of every block from the current live rows.
-  /// Used at mining time and by RepairFull.
+  /// Used at mining time and by RepairFull. Publishes the blocks and bumps
+  /// the epoch under one lock: a re-mine may tighten envelopes a plan in
+  /// flight skipped against.
   Status Mine(const Catalog& catalog);
 
   /// Incremental folds, called by the ScRegistry DML hooks under this
@@ -68,9 +70,12 @@ class ZoneMapSc final : public SoftConstraint {
                         const std::vector<Value>& new_row);
 
   /// Copy of the per-block SMAs (planners consult this snapshot under the
-  /// params lock, then compute skip sets lock-free).
-  std::vector<BlockSma> SnapshotBlocks() const {
+  /// params lock, then compute skip sets lock-free). When `epoch` is given
+  /// it receives the epoch read under the same lock, so the blocks and the
+  /// epoch a skip decision or its certificate records belong together.
+  std::vector<BlockSma> SnapshotBlocks(std::uint64_t* epoch = nullptr) const {
     std::shared_lock<std::shared_mutex> lk(params_mu_);
+    if (epoch != nullptr) *epoch = this->epoch();
     return blocks_;
   }
 

@@ -89,10 +89,8 @@ OptimizerContext SoftDb::MakeContext() {
   ctx.enable_implication = options_.enable_implication;
   ctx.use_twins_in_estimation = options_.use_twins_in_estimation;
   ctx.enable_zone_maps = options_.enable_zone_maps;
-  ctx.prefer_sort_merge_join = options_.prefer_sort_merge_join;
   ctx.enable_runtime_parameterization =
       options_.enable_runtime_parameterization;
-  ctx.use_vectorized = options_.use_vectorized;
   ctx.verify_plans = options_.verify_plans;
   ctx.num_threads = options_.num_threads;
   ctx.parallel_morsel_rows = options_.parallel_morsel_rows;
@@ -806,10 +804,6 @@ Result<std::string> SoftDb::Explain(const std::string& sql) {
   std::string out = result.plan_text;
   out += StrFormat("estimated rows: %.1f, estimated cost: %.1f pages\n",
                    result.estimated_rows, result.estimated_cost);
-  if (options_.use_vectorized) {
-    out += "execution: vectorized (batch engine where supported, row "
-           "fallback otherwise)\n";
-  }
   for (const std::string& rule : result.applied_rules) {
     out += "rule: " + rule + "\n";
   }

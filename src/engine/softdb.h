@@ -58,12 +58,7 @@ struct EngineOptions {
   /// kernels (exec/kernels.h) where types permit; OFF forces the scalar
   /// expression path everywhere. Results are bit-identical either way.
   bool use_kernels = true;
-  bool prefer_sort_merge_join = false;
   bool enable_runtime_parameterization = true;
-  /// Execute scans/filters/projections/equi hash joins on the vectorized
-  /// batch engine. Row-engine fallback is per subtree; results and
-  /// ExecStats are identical either way.
-  bool use_vectorized = true;
   /// Run PlanVerifier after every bind/rewrite/planning phase. Debug
   /// builds verify regardless of this flag (see ShouldVerifyPlans).
   bool verify_plans = true;
@@ -74,7 +69,7 @@ struct EngineOptions {
   /// ExecStats::certificates_{checked,failed}.
   bool certify_plans = true;
   /// Morsel-driven parallel execution (DESIGN.md §8): with more than one
-  /// thread, parallel-safe vectorized subtrees run on a work-stealing
+  /// thread, parallel-safe subtrees run on a work-stealing
   /// worker pool, with results merged in morsel order so output and
   /// ExecStats stay bit-identical to serial execution. 1 = serial.
   /// Must not change while queries are in flight.

@@ -148,4 +148,17 @@ std::vector<Value> ColumnBatch::MaterializeRow(std::size_t pos) const {
   return out;
 }
 
+void ColumnBatch::CopySelectedFrom(const ColumnBatch& src) {
+  columns_.resize(src.NumColumns());
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    BatchColumn& dst = columns_[c];
+    const BatchColumn& from = src.column(c);
+    dst.ResetOwned(from.type());
+    for (std::size_t i = 0; i < src.sel_size(); ++i) {
+      dst.AppendFrom(from, src.sel()[i]);
+    }
+  }
+  SelectAll(src.sel_size());
+}
+
 }  // namespace softdb

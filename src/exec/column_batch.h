@@ -60,7 +60,7 @@ class BatchColumn {
   }
 
   /// Materializes one cell exactly as ColumnVector::Get / Table::GetRow
-  /// would, so adapter output is byte-identical to the row engine's.
+  /// would; owned NULLs carry the column's type.
   Value GetValue(std::size_t pos) const;
 
   /// Contiguous raw spans for the kernel layer, uniform across view and
@@ -91,7 +91,7 @@ class BatchColumn {
   const ColumnVector* view_source() const { return view_; }
 
   /// Owned-mode appends. AppendValue mirrors ColumnVector::Append's type
-  /// coercion so join outputs built from row-path Values stay identical.
+  /// coercion, so rows rebuilt from materialized Values stay identical.
   void AppendValue(const Value& v);
   /// Raw typed appends (projection outputs). The payload of a null entry is
   /// ignored; null strings may pass nullptr.
@@ -183,8 +183,13 @@ class ColumnBatch {
     return true;
   }
 
-  /// Materializes one row as the row engine would (Table::GetRow order).
+  /// Materializes one row in column order (Table::GetRow order for scans).
   std::vector<Value> MaterializeRow(std::size_t pos) const;
+
+  /// Replaces this batch with an owned, densely packed copy of `src`'s
+  /// selected rows (same column types, identity selection), so the copy
+  /// outlives the storage views and scratch buffers `src` points into.
+  void CopySelectedFrom(const ColumnBatch& src);
 
  private:
   std::vector<BatchColumn> columns_;

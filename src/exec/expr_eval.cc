@@ -125,7 +125,7 @@ Status EvalComparison(const ComparisonExpr& e, const ColumnBatch& batch,
   SOFTDB_RETURN_IF_ERROR(EvalExprBatch(*e.right(), batch, sel, n, &r));
   out->Resize(TypeId::kBool, n);
   if (!SameFamily(l.type, r.type)) {
-    // The row engine only reaches Value::Compare — and its error — for rows
+    // Expr::Eval only reaches Value::Compare — and its error — for rows
     // where both sides are non-null; rows with a NULL side yield NULL first.
     for (std::size_t i = 0; i < n; ++i) {
       if (l.null[i] || r.null[i]) {
@@ -150,7 +150,7 @@ Status EvalLogical(const LogicalExpr& e, const ColumnBatch& batch,
                    const SelIdx* sel, std::size_t n, BatchVec* out) {
   const bool is_and = e.kind() == ExprKind::kAnd;
   out->Resize(TypeId::kBool, n);
-  // Kleene AND/OR with the row engine's per-row short-circuit: child k is
+  // Kleene AND/OR with Expr::Eval's per-row short-circuit: child k is
   // evaluated only for rows no earlier child already decided (false for
   // AND, true for OR) — this keeps error reachability identical, not just
   // values. `live` holds result indexes still undecided.
@@ -272,7 +272,7 @@ Status EvalArithmetic(const ArithmeticExpr& e, const ColumnBatch& batch,
       out->null[i] = 1;
       continue;
     }
-    // The row engine routes int arithmetic through NumericValue() (a double
+    // Expr::Eval routes int arithmetic through NumericValue() (a double
     // round-trip); replicate the exact cast chain for bit-identical output.
     const std::int64_t a = static_cast<std::int64_t>(l.NumericAt(i));
     const std::int64_t b = static_cast<std::int64_t>(r.NumericAt(i));
@@ -486,6 +486,23 @@ void BatchVec::Resize(TypeId t, std::size_t n) {
   } else {
     i64.resize(n);
   }
+}
+
+Value BatchVec::ValueAt(std::size_t i) const {
+  if (null[i]) return Value::Null(type);
+  switch (type) {
+    case TypeId::kDouble:
+      return Value::Double(f64[i]);
+    case TypeId::kString:
+      return Value::String(*str[i]);
+    case TypeId::kDate:
+      return Value::Date(i64[i]);
+    case TypeId::kBool:
+      return Value::Bool(i64[i] != 0);
+    case TypeId::kInt64:
+      break;
+  }
+  return Value::Int64(i64[i]);
 }
 
 Status EvalExprBatch(const Expr& expr, const ColumnBatch& batch,

@@ -31,6 +31,8 @@ struct BatchVec {
     return type == TypeId::kDouble ? f64[i]
                                    : static_cast<double>(i64[i]);
   }
+  /// Boxes entry i as the Value Expr::Eval returns for that row.
+  Value ValueAt(std::size_t i) const;
 };
 
 /// Evaluates `expr` column-at-a-time for the `n` batch positions listed in
@@ -38,7 +40,7 @@ struct BatchVec {
 /// sel[i]). Semantics — including Kleene AND/OR, NULL propagation, the
 /// per-row short-circuit order that decides *whether* a type-mismatch
 /// error is reachable, and error messages — are exactly those of
-/// Expr::Eval, so the vectorized and row engines are interchangeable.
+/// Expr::Eval, which the test-only reference evaluator runs per row.
 Status EvalExprBatch(const Expr& expr, const ColumnBatch& batch,
                      const SelIdx* sel, std::size_t n, BatchVec* out);
 

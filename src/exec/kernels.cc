@@ -346,7 +346,7 @@ void ArithF64(ArithOp op, const double* a, const double* b, std::size_t n,
 void ArithI64ViaDouble(ArithOp op, const std::int64_t* a,
                        const std::int64_t* b, std::size_t n,
                        std::int64_t* out) {
-  // Exactly the row engine's cast chain (NumericValue widens through
+  // Exactly Expr::Eval's cast chain (NumericValue widens through
   // double), preserved for bit-identical results on |v| ≥ 2^53.
   auto rt = [](std::int64_t v) {
     return static_cast<std::int64_t>(static_cast<double>(v));

@@ -33,7 +33,7 @@ void CompareMaskI64(const std::int64_t* data, const std::uint8_t* nulls,
                     std::uint8_t* mask);
 
 /// mask[i] = !null[i] && ((double)data[i] op constant) — an int-like
-/// column against a DOUBLE constant, using the row engine's widening.
+/// column against a DOUBLE constant, using Expr::Eval's widening.
 void CompareMaskI64AsF64(const std::int64_t* data, const std::uint8_t* nulls,
                          std::size_t n, CompareOp op, double constant,
                          std::uint8_t* mask);

@@ -30,17 +30,19 @@ Result<RowSet> ExecuteToCompletion(Operator* root, ExecContext* ctx) {
   RowSet result;
   result.schema = root->schema();
   SOFTDB_RETURN_IF_ERROR(root->Open(ctx));
-  std::vector<Value> row;
+  ColumnBatch batch;
   while (true) {
-    // Action-only chaos site: fires between output rows, where tests mutate
-    // engine state (overturn an SC, cancel the query) mid-execution.
-    SOFTDB_FAILPOINT_HIT("exec.drain");
-    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterruptStrided());
-    SOFTDB_ASSIGN_OR_RETURN(bool has, root->Next(ctx, &row));
+    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterrupt());
+    SOFTDB_ASSIGN_OR_RETURN(bool has, root->NextBatch(ctx, &batch));
     if (!has) break;
-    ++ctx->stats.rows_output;
-    result.rows.push_back(std::move(row));
-    row = {};
+    for (std::size_t i = 0; i < batch.sel_size(); ++i) {
+      // Action-only chaos site: fires between output rows, where tests
+      // mutate engine state (overturn an SC, cancel the query)
+      // mid-execution; the next batch boundary observes the change.
+      SOFTDB_FAILPOINT_HIT("exec.drain");
+      result.rows.push_back(batch.MaterializeRow(batch.sel()[i]));
+    }
+    ctx->stats.rows_output += batch.sel_size();
   }
   return result;
 }

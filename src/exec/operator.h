@@ -9,6 +9,7 @@
 #include "common/query_context.h"
 #include "common/result.h"
 #include "common/value.h"
+#include "exec/column_batch.h"
 #include "storage/schema.h"
 
 namespace softdb {
@@ -27,18 +28,18 @@ struct ExecStats {
   std::uint64_t runtime_param_skips = 0;  // §4.2 predicates skipped at Open.
   // Block-zone-map pruning: 1024-row blocks whose SMA interval provably
   // excludes every scan predicate, skipped without touching the rows, and
-  // the number of blocks the scan covered in total. Every engine (row,
-  // batch, parallel) consults the same plan-time skip decisions, so both
-  // counters ARE part of the cross-engine stat-equality invariant.
+  // the number of blocks the scan covered in total. Serial and parallel
+  // execution consult the same plan-time skip decisions, so both counters
+  // ARE part of the serial/parallel stat-equality invariant.
   std::uint64_t blocks_skipped = 0;
   std::uint64_t blocks_total = 0;
   // Morsels executed by the parallel engine. An execution-strategy
-  // detail: 0 on serial paths, so it is excluded from the cross-engine
+  // detail: 0 on serial paths, so it is excluded from the serial/parallel
   // stat-equality invariant the differential fuzzer checks.
   std::uint64_t morsels = 0;
   // Transparent re-executions after a mid-query overturn of a
   // rewrite-consumed absolute SC (see DESIGN.md "Failure model"). Like
-  // `morsels`, a robustness detail excluded from the cross-engine
+  // `morsels`, a robustness detail excluded from the serial/parallel
   // stat-equality invariant; 0 on every undisturbed execution.
   std::uint64_t degraded_retries = 0;
   // Rewrite-certificate checking (DESIGN.md §13): proof obligations the
@@ -46,13 +47,13 @@ struct ExecStats {
   // many did not prove their conclusion (kInvalid verdicts — always 0
   // unless the rewriter mis-derived; debug builds abort the query
   // instead). Certificates are emitted at plan time, so both counters are
-  // engine-independent and part of the cross-engine equality invariant.
+  // independent of execution and part of the stat-equality invariant.
   std::uint64_t certificates_checked = 0;
   std::uint64_t certificates_failed = 0;
   // Write-ahead-log activity attributed to this statement: records and
   // bytes appended, fsyncs issued (DESIGN.md §14). Durability
   // bookkeeping, not query work — 0 with the WAL off and on every SELECT,
-  // and, like `morsels`, excluded from the cross-engine stat-equality
+  // and, like `morsels`, excluded from the serial/parallel stat-equality
   // invariant.
   std::uint64_t wal_records = 0;
   std::uint64_t wal_bytes = 0;
@@ -106,25 +107,12 @@ struct ExecContext {
   Status CheckInterrupt() const {
     return query == nullptr ? Status::OK() : query->Check();
   }
-
-  /// Strided check for per-row loops: the cancellation token (one atomic
-  /// load) is consulted every call, the deadline clock only every
-  /// `kInterruptStride` calls.
-  Status CheckInterruptStrided() {
-    if (query == nullptr) return Status::OK();
-    if (query->cancel != nullptr && query->cancel->cancelled()) {
-      return Status::Cancelled("query cancelled");
-    }
-    if (++interrupt_tick_ % kInterruptStride == 0) return query->Check();
-    return Status::OK();
-  }
-
- private:
-  static constexpr std::uint32_t kInterruptStride = 1024;
-  std::uint32_t interrupt_tick_ = 0;
 };
 
-/// A pull-based physical operator (Volcano-style iterator).
+/// A pull-based vectorized physical operator: each call produces a
+/// ColumnBatch (columns plus a selection vector) rather than a row. Every
+/// output Value a batch materializes carries its schema column's type,
+/// NULLs included.
 class Operator {
  public:
   explicit Operator(Schema schema) : schema_(std::move(schema)) {}
@@ -142,11 +130,12 @@ class Operator {
   }
 
   /// Prepares for iteration (builds hash tables, sorts, ...). Must be
-  /// called before Next; may be called again to re-run.
+  /// called before NextBatch; may be called again to re-run.
   virtual Status Open(ExecContext* ctx) = 0;
 
-  /// Produces the next row into *row. Returns false at end of stream.
-  virtual Result<bool> Next(ExecContext* ctx, std::vector<Value>* row) = 0;
+  /// Produces the next non-empty batch into *batch (columns, size, and
+  /// selection vector all set). Returns false at end of stream.
+  virtual Result<bool> NextBatch(ExecContext* ctx, ColumnBatch* batch) = 0;
 
  protected:
   Schema schema_;

@@ -17,19 +17,6 @@ Result<bool> EvalPredicates(const std::vector<Predicate>& predicates,
   return true;
 }
 
-// ------------------------------------------------------------------ SeqScan
-
-SeqScanOp::SeqScanOp(const Table* table, Schema schema,
-                     std::vector<Predicate> preds)
-    : Operator(std::move(schema)), table_(table), predicates_(std::move(preds)) {}
-
-void SeqScanOp::AddRuntimeParameter(std::size_t predicate_index,
-                                    const Index* index,
-                                    SimplePredicate simple) {
-  runtime_params_.push_back(
-      ScanRuntimeParameter{predicate_index, index, std::move(simple)});
-}
-
 namespace {
 
 // Classification of a simple predicate against the current [min, max]
@@ -89,12 +76,57 @@ void ResolveScanRuntimeParams(const std::vector<ScanRuntimeParameter>& params,
   }
 }
 
+namespace {
+
+std::vector<const Predicate*> PredicatePointers(
+    const std::vector<Predicate>& preds) {
+  std::vector<const Predicate*> out;
+  out.reserve(preds.size());
+  for (const Predicate& p : preds) out.push_back(&p);
+  return out;
+}
+
+}  // namespace
+
+// ------------------------------------------------------------------ SeqScan
+
+SeqScanOp::SeqScanOp(const Table* table, Schema schema,
+                               std::vector<Predicate> preds)
+    : Operator(std::move(schema)), table_(table),
+      predicates_(std::move(preds)) {}
+
+void SeqScanOp::AddRuntimeParameter(std::size_t predicate_index,
+                                         const Index* index,
+                                         SimplePredicate simple) {
+  runtime_params_.push_back(
+      ScanRuntimeParameter{predicate_index, index, std::move(simple)});
+}
+
+void SeqScanOp::BindMorsel(std::size_t base, std::size_t rows,
+                                const std::vector<bool>* skip) {
+  morsel_mode_ = true;
+  morsel_base_ = base;
+  morsel_end_ = base + rows;
+  morsel_skip_ = skip;
+}
+
 Status SeqScanOp::Open(ExecContext* ctx) {
-  next_ = 0;
   provably_empty_ = false;
   effective_.clear();
 
-  // §4.2: resolve runtime parameters against the indexes' current min/max.
+  if (morsel_mode_) {
+    // The coordinator already resolved the §4.2 parameters and charged
+    // page + skip accounting once for the whole table.
+    next_ = morsel_base_;
+    for (std::size_t i = 0; i < predicates_.size(); ++i) {
+      if (morsel_skip_ == nullptr || !(*morsel_skip_)[i]) {
+        effective_.push_back(&predicates_[i]);
+      }
+    }
+    return Status::OK();
+  }
+
+  next_ = 0;
   std::vector<bool> skip(predicates_.size(), false);
   ResolveScanRuntimeParams(runtime_params_, schema_, ctx, &skip,
                            &provably_empty_);
@@ -110,52 +142,67 @@ Status SeqScanOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<bool> SeqScanOp::Next(ExecContext* ctx, std::vector<Value>* row) {
+Result<bool> SeqScanOp::NextBatch(ExecContext* ctx, ColumnBatch* batch) {
   if (provably_empty_) return false;
-  while (next_ < table_->NumSlots()) {
-    // Selective predicates can spin here across many rows per Next call,
-    // so this loop is a cancellation point of its own.
-    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterruptStrided());
-    if (zone_skips_ != nullptr) {
-      const std::size_t blk = next_ / kZoneMapBlockRows;
-      if (blk < zone_skips_->size() && (*zone_skips_)[blk] != 0) {
-        // The whole block is provably predicate-free: jump past it without
-        // touching liveness, rows_scanned, or the predicates.
-        next_ = static_cast<RowId>((blk + 1) * kZoneMapBlockRows);
-        continue;
+  const std::uint8_t* live = table_->LiveBitmap();
+  const std::size_t end = morsel_mode_ ? morsel_end_ : table_->NumSlots();
+  // Slot -> "its zone-map block is skippable". Serial batches are
+  // kZoneMapBlockRows-aligned so whole batches drop; morsel batches may
+  // straddle a block boundary and drop rows from the selection vector
+  // instead — either way exactly the rows of skipped blocks are skipped.
+  const auto block_skipped = [this](std::size_t slot) {
+    const std::size_t blk = slot / kZoneMapBlockRows;
+    return blk < zone_skips_->size() && (*zone_skips_)[blk] != 0;
+  };
+  while (next_ < end) {
+    // Batch granularity: one full interrupt check and one failpoint
+    // evaluation per batch produced.
+    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterrupt());
+    SOFTDB_INJECT_FAULT("exec.batch_scan",
+                        Status::Internal("injected batch-scan fault"));
+    const std::size_t base = next_;
+    const std::size_t n = std::min(kBatchCapacity, end - base);
+    next_ += n;
+    if (zone_skips_ != nullptr && block_skipped(base) &&
+        block_skipped(base + n - 1)) {
+      continue;  // Every overlapped block is skippable: drop the batch.
+    }
+    batch->BindTableView(*table_, base, n);
+    SelIdx* sel = batch->mutable_sel();
+    std::size_t count = 0;
+    if (zone_skips_ == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (live[base + i]) sel[count++] = static_cast<SelIdx>(i);
+      }
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (live[base + i] && !block_skipped(base + i)) {
+          sel[count++] = static_cast<SelIdx>(i);
+        }
       }
     }
-    const RowId id = next_++;
-    if (!table_->IsLive(id)) continue;
-    ++ctx->stats.rows_scanned;
-    std::vector<Value> candidate = table_->GetRow(id);
-    bool pass = true;
-    for (const Predicate* p : effective_) {
-      if (p->estimation_only) continue;
-      SOFTDB_ASSIGN_OR_RETURN(Value v, p->expr->Eval(candidate));
-      if (v.is_null() || !v.AsBool()) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
-    ++ctx->stats.rows_emitted;
-    *row = std::move(candidate);
-    return true;
+    ctx->stats.rows_scanned += count;
+    SOFTDB_ASSIGN_OR_RETURN(
+        std::size_t kept,
+        FilterSelection(effective_, *batch, sel, count, ctx->use_kernels));
+    batch->set_sel_size(kept);
+    ctx->stats.rows_emitted += kept;
+    if (kept > 0) return true;
   }
   return false;
 }
 
 // ----------------------------------------------------------- IndexRangeScan
 
-IndexRangeScanOp::IndexRangeScanOp(const Table* table, const Index* index,
-                                   Schema schema, std::optional<Value> lo,
-                                   bool lo_inclusive, std::optional<Value> hi,
-                                   bool hi_inclusive,
-                                   std::vector<Predicate> residual)
+IndexRangeScanOp::IndexRangeScanOp(
+    const Table* table, const Index* index, Schema schema,
+    std::optional<Value> lo, bool lo_inclusive, std::optional<Value> hi,
+    bool hi_inclusive, std::vector<Predicate> residual)
     : Operator(std::move(schema)), table_(table), index_(index),
       lo_(std::move(lo)), hi_(std::move(hi)), lo_inclusive_(lo_inclusive),
-      hi_inclusive_(hi_inclusive), residual_(std::move(residual)) {}
+      hi_inclusive_(hi_inclusive), residual_(std::move(residual)) {
+  effective_ = PredicatePointers(residual_);
+}
 
 Status IndexRangeScanOp::Open(ExecContext* ctx) {
   next_ = 0;
@@ -169,84 +216,105 @@ Status IndexRangeScanOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<bool> IndexRangeScanOp::Next(ExecContext* ctx, std::vector<Value>* row) {
+Result<bool> IndexRangeScanOp::NextBatch(ExecContext* ctx,
+                                              ColumnBatch* batch) {
   while (next_ < rows_.size()) {
-    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterruptStrided());
-    const RowId id = rows_[next_++];
-    ++ctx->stats.rows_scanned;
-    std::vector<Value> candidate = table_->GetRow(id);
-    SOFTDB_ASSIGN_OR_RETURN(bool pass, EvalPredicates(residual_, candidate));
-    if (!pass) continue;
-    ++ctx->stats.rows_emitted;
-    *row = std::move(candidate);
-    return true;
+    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterrupt());
+    SOFTDB_INJECT_FAULT("exec.batch_scan",
+                        Status::Internal("injected batch-scan fault"));
+    const std::size_t n = std::min(kBatchCapacity, rows_.size() - next_);
+    batch->Reset(schema_);
+    for (std::size_t c = 0; c < batch->NumColumns(); ++c) {
+      batch->column(c).GatherFrom(
+          table_->ColumnData(static_cast<ColumnIdx>(c)), rows_.data() + next_,
+          n);
+    }
+    batch->SelectAll(n);
+    next_ += n;
+    ctx->stats.rows_scanned += n;
+    SOFTDB_ASSIGN_OR_RETURN(
+        std::size_t kept,
+        FilterSelection(effective_, *batch, batch->mutable_sel(), n,
+                        ctx->use_kernels));
+    batch->set_sel_size(kept);
+    ctx->stats.rows_emitted += kept;
+    if (kept > 0) return true;
   }
   return false;
 }
 
 // ------------------------------------------------------------------- Filter
 
-FilterOp::FilterOp(OperatorPtr child, std::vector<Predicate> preds)
+FilterOp::FilterOp(OperatorPtr child,
+                             std::vector<Predicate> preds)
     : Operator(child->schema()), child_(std::move(child)),
-      predicates_(std::move(preds)) {}
+      predicates_(std::move(preds)) {
+  effective_ = PredicatePointers(predicates_);
+}
 
 Status FilterOp::Open(ExecContext* ctx) { return child_->Open(ctx); }
 
-Result<bool> FilterOp::Next(ExecContext* ctx, std::vector<Value>* row) {
+Result<bool> FilterOp::NextBatch(ExecContext* ctx, ColumnBatch* batch) {
   while (true) {
-    SOFTDB_ASSIGN_OR_RETURN(bool has, child_->Next(ctx, row));
+    SOFTDB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, batch));
     if (!has) return false;
-    SOFTDB_ASSIGN_OR_RETURN(bool pass, EvalPredicates(predicates_, *row));
-    if (pass) return true;
+    SOFTDB_ASSIGN_OR_RETURN(
+        std::size_t kept,
+        FilterSelection(effective_, *batch, batch->mutable_sel(),
+                        batch->sel_size(), ctx->use_kernels));
+    batch->set_sel_size(kept);
+    if (kept > 0) return true;
   }
 }
 
 // ------------------------------------------------------------------ Project
 
 ProjectOp::ProjectOp(OperatorPtr child, Schema schema,
-                     std::vector<ExprPtr> exprs)
+                               std::vector<ExprPtr> exprs)
     : Operator(std::move(schema)), child_(std::move(child)),
       exprs_(std::move(exprs)) {}
 
 Status ProjectOp::Open(ExecContext* ctx) { return child_->Open(ctx); }
 
-Result<bool> ProjectOp::Next(ExecContext* ctx, std::vector<Value>* row) {
-  std::vector<Value> input;
-  SOFTDB_ASSIGN_OR_RETURN(bool has, child_->Next(ctx, &input));
-  if (!has) return false;
-  row->clear();
-  row->reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) {
-    SOFTDB_ASSIGN_OR_RETURN(Value v, e->Eval(input));
-    row->push_back(std::move(v));
+Result<bool> ProjectOp::NextBatch(ExecContext* ctx, ColumnBatch* batch) {
+  while (true) {
+    SOFTDB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &input_));
+    if (!has) return false;
+    const std::size_t n = input_.sel_size();
+    if (n == 0) continue;
+    batch->Reset(schema_);
+    BatchVec vec;
+    for (std::size_t j = 0; j < exprs_.size(); ++j) {
+      SOFTDB_RETURN_IF_ERROR(
+          EvalExprBatch(*exprs_[j], input_, input_.sel(), n, &vec));
+      BatchColumn& col = batch->column(j);
+      // Output columns take the expressions' static result types (the
+      // plan schema's), so NULLs carry the column's type.
+      col.ResetOwned(vec.type);
+      if (vec.type == TypeId::kDouble) {
+        for (std::size_t i = 0; i < n; ++i) {
+          col.AppendRawDouble(vec.f64[i], vec.null[i] != 0);
+        }
+      } else if (vec.type == TypeId::kString) {
+        for (std::size_t i = 0; i < n; ++i) {
+          col.AppendRawString(vec.str[i], vec.null[i] != 0);
+        }
+      } else {
+        for (std::size_t i = 0; i < n; ++i) {
+          col.AppendRawInt64(vec.i64[i], vec.null[i] != 0);
+        }
+      }
+    }
+    batch->SelectAll(n);
+    return true;
   }
-  return true;
 }
 
 // ----------------------------------------------------------------- HashJoin
 
-std::size_t HashJoinOp::KeyHash::operator()(
-    const std::vector<Value>& key) const {
-  std::size_t h = 1469598103934665603ULL;
-  for (const Value& v : key) {
-    h ^= v.Hash();
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-bool HashJoinOp::KeyEq::operator()(const std::vector<Value>& a,
-                                   const std::vector<Value>& b) const {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!a[i].GroupEquals(b[i])) return false;
-  }
-  return true;
-}
-
 HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
-                       std::vector<JoinNode::EquiKey> keys,
-                       std::vector<Predicate> residual)
+                                 std::vector<JoinNode::EquiKey> keys,
+                                 std::vector<Predicate> residual)
     : Operator(Schema::Concat(left->schema(), right->schema())),
       left_(std::move(left)), right_(std::move(right)), keys_(std::move(keys)),
       residual_(std::move(residual)) {}
@@ -256,201 +324,144 @@ Status HashJoinOp::Open(ExecContext* ctx) {
                       Status::ResourceExhausted(
                           "injected hash-join build allocation failure"));
   build_.clear();
+  probe_valid_ = false;
+  probe_idx_ = 0;
   matches_ = nullptr;
   match_idx_ = 0;
-  probe_open_ = true;
+  probe_dict_source_ = nullptr;
+  code_buckets_.clear();
+  code_cached_.clear();
   SOFTDB_RETURN_IF_ERROR(right_->Open(ctx));
-  std::vector<Value> row;
+  ColumnBatch rb;
   while (true) {
-    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterruptStrided());
-    auto has = right_->Next(ctx, &row);
+    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterrupt());
+    auto has = right_->NextBatch(ctx, &rb);
     if (!has.ok()) return has.status();
     if (!*has) break;
-    std::vector<Value> key;
-    key.reserve(keys_.size());
-    bool null_key = false;
-    for (const JoinNode::EquiKey& k : keys_) {
-      if (row[k.right].is_null()) {
-        null_key = true;
-        break;
+    for (std::size_t i = 0; i < rb.sel_size(); ++i) {
+      const std::size_t pos = rb.sel()[i];
+      std::vector<Value> key;
+      key.reserve(keys_.size());
+      bool null_key = false;
+      for (const JoinNode::EquiKey& k : keys_) {
+        if (rb.column(k.right).IsNull(pos)) {
+          null_key = true;
+          break;
+        }
+        key.push_back(rb.column(k.right).GetValue(pos));
       }
-      key.push_back(row[k.right]);
+      if (null_key) continue;
+      build_[std::move(key)].push_back(rb.MaterializeRow(pos));
     }
-    if (null_key) continue;
-    build_[std::move(key)].push_back(std::move(row));
-    row = {};
   }
   return left_->Open(ctx);
 }
 
-Result<bool> HashJoinOp::AdvanceProbe(ExecContext* ctx) {
-  while (true) {
-    SOFTDB_ASSIGN_OR_RETURN(bool has, left_->Next(ctx, &probe_row_));
-    if (!has) return false;
+Result<bool> HashJoinOp::NextBatch(ExecContext* ctx, ColumnBatch* batch) {
+  batch->Reset(schema_);
+  std::size_t emitted = 0;
+  while (emitted < kBatchCapacity) {
+    if (matches_ != nullptr && match_idx_ < matches_->size()) {
+      const std::vector<Value>& right_row = (*matches_)[match_idx_++];
+      ++ctx->stats.rows_joined;
+      std::vector<Value> combined = probe_row_;
+      combined.insert(combined.end(), right_row.begin(), right_row.end());
+      SOFTDB_ASSIGN_OR_RETURN(bool pass, EvalPredicates(residual_, combined));
+      if (pass) {
+        for (std::size_t c = 0; c < combined.size(); ++c) {
+          batch->column(c).AppendValue(combined[c]);
+        }
+        ++emitted;
+      }
+      continue;
+    }
+    matches_ = nullptr;
+    if (!probe_valid_ || probe_idx_ >= probe_batch_.sel_size()) {
+      auto has = left_->NextBatch(ctx, &probe_batch_);
+      if (!has.ok()) return has.status();
+      if (!*has) break;
+      probe_valid_ = true;
+      probe_idx_ = 0;
+      continue;
+    }
+    const std::size_t pos = probe_batch_.sel()[probe_idx_++];
+    if (keys_.size() == 1) {
+      // Dictionary fast path: compare int32 codes, not std::string.
+      const BatchColumn& pc = probe_batch_.column(keys_[0].left);
+      if (pc.type() == TypeId::kString) {
+        const BatchColumn::RawSpans raw = pc.RawData();
+        const ColumnVector* src = pc.view_source();
+        if (raw.codes != nullptr && src != nullptr) {
+          const std::int32_t code = raw.codes[pos];
+          if (code == ColumnVector::kNullCode) continue;
+          if (src != probe_dict_source_) {
+            probe_dict_source_ = src;
+            code_buckets_.clear();
+            code_cached_.clear();
+          }
+          const auto c = static_cast<std::size_t>(code);
+          if (c >= code_cached_.size()) {
+            code_cached_.resize(c + 1, 0);
+            code_buckets_.resize(c + 1, nullptr);
+          }
+          if (!code_cached_[c]) {
+            std::vector<Value> key;
+            key.push_back(pc.GetValue(pos));
+            auto it = build_.find(key);
+            code_buckets_[c] = it == build_.end() ? nullptr : &it->second;
+            code_cached_[c] = 1;
+          }
+          if (code_buckets_[c] == nullptr) continue;
+          matches_ = code_buckets_[c];
+          match_idx_ = 0;
+          probe_row_ = probe_batch_.MaterializeRow(pos);
+          continue;
+        }
+      }
+    }
     std::vector<Value> key;
     key.reserve(keys_.size());
     bool null_key = false;
     for (const JoinNode::EquiKey& k : keys_) {
-      if (probe_row_[k.left].is_null()) {
+      if (probe_batch_.column(k.left).IsNull(pos)) {
         null_key = true;
         break;
       }
-      key.push_back(probe_row_[k.left]);
+      key.push_back(probe_batch_.column(k.left).GetValue(pos));
     }
     if (null_key) continue;
     auto it = build_.find(key);
     if (it == build_.end()) continue;
     matches_ = &it->second;
     match_idx_ = 0;
-    return true;
+    probe_row_ = probe_batch_.MaterializeRow(pos);
   }
+  batch->SelectAll(emitted);
+  return emitted > 0;
 }
 
-Result<bool> HashJoinOp::Next(ExecContext* ctx, std::vector<Value>* row) {
-  while (true) {
-    if (matches_ == nullptr || match_idx_ >= matches_->size()) {
-      SOFTDB_ASSIGN_OR_RETURN(bool has, AdvanceProbe(ctx));
-      if (!has) return false;
-    }
-    const std::vector<Value>& right_row = (*matches_)[match_idx_++];
-    ++ctx->stats.rows_joined;
-    std::vector<Value> combined = probe_row_;
-    combined.insert(combined.end(), right_row.begin(), right_row.end());
-    SOFTDB_ASSIGN_OR_RETURN(bool pass, EvalPredicates(residual_, combined));
-    if (!pass) continue;
-    *row = std::move(combined);
-    return true;
-  }
-}
-
-// ------------------------------------------------------------ SortMergeJoin
 
 namespace {
 
-// Sorts rows by the given key columns (NULLs first, then value order).
-void SortByColumns(std::vector<std::vector<Value>>* rows,
-                   const std::vector<ColumnIdx>& cols) {
-  std::stable_sort(rows->begin(), rows->end(),
-                   [&](const std::vector<Value>& a,
-                       const std::vector<Value>& b) {
-                     for (ColumnIdx c : cols) {
-                       auto cmp = a[c].Compare(b[c]);
-                       const int v = cmp.ok() ? *cmp : 0;
-                       if (v != 0) return v < 0;
-                     }
-                     return false;
-                   });
-}
-
-Result<std::vector<std::vector<Value>>> Materialize(Operator* op,
-                                                    ExecContext* ctx) {
-  std::vector<std::vector<Value>> rows;
-  SOFTDB_RETURN_IF_ERROR(op->Open(ctx));
-  std::vector<Value> row;
-  while (true) {
-    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterruptStrided());
-    SOFTDB_ASSIGN_OR_RETURN(bool has, op->Next(ctx, &row));
-    if (!has) break;
-    rows.push_back(std::move(row));
-    row = {};
+/// Appends rows[*next ...) to `batch` as schema-typed owned columns, at
+/// most kBatchCapacity of them. False once every row has been emitted.
+bool EmitRows(const Schema& schema, std::vector<std::vector<Value>>* rows,
+              std::size_t* next, ColumnBatch* batch) {
+  if (*next >= rows->size()) return false;
+  batch->Reset(schema);
+  const std::size_t n = std::min(kBatchCapacity, rows->size() - *next);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<Value>& row = (*rows)[*next + i];
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      batch->column(c).AppendValue(row[c]);
+    }
   }
-  return rows;
+  *next += n;
+  batch->SelectAll(n);
+  return true;
 }
 
 }  // namespace
-
-SortMergeJoinOp::SortMergeJoinOp(OperatorPtr left, OperatorPtr right,
-                                 std::vector<JoinNode::EquiKey> keys,
-                                 std::vector<Predicate> residual)
-    : Operator(Schema::Concat(left->schema(), right->schema())),
-      left_(std::move(left)), right_(std::move(right)),
-      keys_(std::move(keys)), residual_(std::move(residual)) {}
-
-Status SortMergeJoinOp::Open(ExecContext* ctx) {
-  results_.clear();
-  next_ = 0;
-  SOFTDB_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> left_rows,
-                          Materialize(left_.get(), ctx));
-  SOFTDB_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> right_rows,
-                          Materialize(right_.get(), ctx));
-  std::vector<ColumnIdx> left_cols, right_cols;
-  for (const JoinNode::EquiKey& k : keys_) {
-    left_cols.push_back(k.left);
-    right_cols.push_back(k.right);
-  }
-  SortByColumns(&left_rows, left_cols);
-  SortByColumns(&right_rows, right_cols);
-  ctx->stats.rows_sorted += left_rows.size() + right_rows.size();
-
-  auto key_cmp = [&](const std::vector<Value>& l,
-                     const std::vector<Value>& r) -> int {
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      auto cmp = l[keys_[i].left].Compare(r[keys_[i].right]);
-      const int v = cmp.ok() ? *cmp : 0;
-      if (v != 0) return v;
-    }
-    return 0;
-  };
-  auto has_null_key = [&](const std::vector<Value>& row,
-                          const std::vector<ColumnIdx>& cols) {
-    for (ColumnIdx c : cols) {
-      if (row[c].is_null()) return true;
-    }
-    return false;
-  };
-
-  std::size_t li = 0, ri = 0;
-  while (li < left_rows.size() && ri < right_rows.size()) {
-    if (has_null_key(left_rows[li], left_cols)) {
-      ++li;
-      continue;
-    }
-    if (has_null_key(right_rows[ri], right_cols)) {
-      ++ri;
-      continue;
-    }
-    const int cmp = key_cmp(left_rows[li], right_rows[ri]);
-    if (cmp < 0) {
-      ++li;
-      continue;
-    }
-    if (cmp > 0) {
-      ++ri;
-      continue;
-    }
-    // Equal-key groups: [li, le) x [ri, re).
-    std::size_t le = li;
-    while (le < left_rows.size() &&
-           key_cmp(left_rows[le], right_rows[ri]) == 0) {
-      ++le;
-    }
-    std::size_t re = ri;
-    while (re < right_rows.size() &&
-           key_cmp(left_rows[li], right_rows[re]) == 0) {
-      ++re;
-    }
-    for (std::size_t l = li; l < le; ++l) {
-      for (std::size_t r = ri; r < re; ++r) {
-        ++ctx->stats.rows_joined;
-        std::vector<Value> combined = left_rows[l];
-        combined.insert(combined.end(), right_rows[r].begin(),
-                        right_rows[r].end());
-        SOFTDB_ASSIGN_OR_RETURN(bool pass,
-                                EvalPredicates(residual_, combined));
-        if (pass) results_.push_back(std::move(combined));
-      }
-    }
-    li = le;
-    ri = re;
-  }
-  return Status::OK();
-}
-
-Result<bool> SortMergeJoinOp::Next(ExecContext*, std::vector<Value>* row) {
-  if (next_ >= results_.size()) return false;
-  *row = results_[next_++];
-  return true;
-}
 
 // ----------------------------------------------------------- NestedLoopJoin
 
@@ -462,69 +473,62 @@ NestedLoopJoinOp::NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
 
 Status NestedLoopJoinOp::Open(ExecContext* ctx) {
   right_rows_.clear();
-  right_idx_ = 0;
+  left_batch_valid_ = false;
+  left_idx_ = 0;
   left_valid_ = false;
+  right_idx_ = 0;
   SOFTDB_RETURN_IF_ERROR(right_->Open(ctx));
-  std::vector<Value> row;
+  ColumnBatch rb;
   while (true) {
-    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterruptStrided());
-    auto has = right_->Next(ctx, &row);
-    if (!has.ok()) return has.status();
-    if (!*has) break;
-    right_rows_.push_back(std::move(row));
-    row = {};
+    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterrupt());
+    SOFTDB_ASSIGN_OR_RETURN(bool has, right_->NextBatch(ctx, &rb));
+    if (!has) break;
+    for (std::size_t i = 0; i < rb.sel_size(); ++i) {
+      right_rows_.push_back(rb.MaterializeRow(rb.sel()[i]));
+    }
   }
   return left_->Open(ctx);
 }
 
-Result<bool> NestedLoopJoinOp::Next(ExecContext* ctx, std::vector<Value>* row) {
-  while (true) {
+Result<bool> NestedLoopJoinOp::NextBatch(ExecContext* ctx,
+                                         ColumnBatch* batch) {
+  batch->Reset(schema_);
+  std::size_t emitted = 0;
+  while (emitted < kBatchCapacity) {
     if (!left_valid_) {
-      SOFTDB_ASSIGN_OR_RETURN(bool has, left_->Next(ctx, &left_row_));
-      if (!has) return false;
+      if (!left_batch_valid_ || left_idx_ >= left_batch_.sel_size()) {
+        SOFTDB_ASSIGN_OR_RETURN(bool has, left_->NextBatch(ctx, &left_batch_));
+        if (!has) break;
+        left_batch_valid_ = true;
+        left_idx_ = 0;
+        continue;
+      }
+      left_row_ = left_batch_.MaterializeRow(left_batch_.sel()[left_idx_++]);
       left_valid_ = true;
       right_idx_ = 0;
     }
-    while (right_idx_ < right_rows_.size()) {
-      const std::vector<Value>& right_row = right_rows_[right_idx_++];
-      ++ctx->stats.rows_joined;
-      std::vector<Value> combined = left_row_;
-      combined.insert(combined.end(), right_row.begin(), right_row.end());
-      SOFTDB_ASSIGN_OR_RETURN(bool pass, EvalPredicates(conditions_, combined));
-      if (pass) {
-        *row = std::move(combined);
-        return true;
-      }
+    if (right_idx_ >= right_rows_.size()) {
+      left_valid_ = false;
+      continue;
     }
-    left_valid_ = false;
+    const std::vector<Value>& right_row = right_rows_[right_idx_++];
+    ++ctx->stats.rows_joined;
+    std::vector<Value> combined = left_row_;
+    combined.insert(combined.end(), right_row.begin(), right_row.end());
+    SOFTDB_ASSIGN_OR_RETURN(bool pass, EvalPredicates(conditions_, combined));
+    if (!pass) continue;
+    for (std::size_t c = 0; c < combined.size(); ++c) {
+      batch->column(c).AppendValue(combined[c]);
+    }
+    ++emitted;
   }
+  batch->SelectAll(emitted);
+  return emitted > 0;
 }
 
 // -------------------------------------------------------------- HashAggregate
 
 namespace {
-
-struct GroupKeyHash {
-  std::size_t operator()(const std::vector<Value>& key) const {
-    std::size_t h = 1469598103934665603ULL;
-    for (const Value& v : key) {
-      h ^= v.Hash();
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-};
-
-struct GroupKeyEq {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (!a[i].GroupEquals(b[i])) return false;
-    }
-    return true;
-  }
-};
 
 struct AggState {
   std::int64_t count = 0;
@@ -558,62 +562,72 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
     std::vector<Value> output_values;  // All group exprs, first row seen.
     std::vector<AggState> states;
   };
-  std::unordered_map<std::vector<Value>, GroupData, GroupKeyHash, GroupKeyEq>
+  std::unordered_map<std::vector<Value>, GroupData, ValueVecHash, ValueVecEq>
       groups;
   std::vector<std::vector<Value>> group_order;  // Keys in first-seen order.
 
-  std::vector<Value> row;
+  ColumnBatch in;
+  std::vector<BatchVec> group_vals(group_by_.size());
+  std::vector<BatchVec> arg_vals(aggregates_.size());
   while (true) {
-    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterruptStrided());
-    auto has = child_->Next(ctx, &row);
-    if (!has.ok()) return has.status();
-    if (!*has) break;
+    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterrupt());
+    SOFTDB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &in));
+    if (!has) break;
+    const std::size_t n = in.sel_size();
+    for (std::size_t g = 0; g < group_by_.size(); ++g) {
+      SOFTDB_RETURN_IF_ERROR(
+          EvalExprBatch(*group_by_[g], in, in.sel(), n, &group_vals[g]));
+    }
+    for (std::size_t a = 0; a < aggregates_.size(); ++a) {
+      if (aggregates_[a].fn == AggFn::kCountStar) continue;
+      SOFTDB_RETURN_IF_ERROR(
+          EvalExprBatch(*aggregates_[a].arg, in, in.sel(), n, &arg_vals[a]));
+    }
 
-    std::vector<Value> all_values;
-    all_values.reserve(group_by_.size());
-    for (const ExprPtr& g : group_by_) {
-      auto v = g->Eval(row);
-      if (!v.ok()) return v.status();
-      all_values.push_back(*std::move(v));
-    }
-    // Grouping key: only flagged exprs (FD-pruned columns are carried but
-    // not compared).
-    std::vector<Value> key;
-    key.reserve(group_by_.size());
-    for (std::size_t i = 0; i < group_by_.size(); ++i) {
-      if (key_flags_[i]) key.push_back(all_values[i]);
-    }
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      GroupData data;
-      data.output_values = std::move(all_values);
-      data.states.resize(aggregates_.size());
-      it = groups.emplace(key, std::move(data)).first;
-      group_order.push_back(key);
-    }
-    std::vector<AggState>& states = it->second.states;
-    for (std::size_t i = 0; i < aggregates_.size(); ++i) {
-      const AggregateItem& agg = aggregates_[i];
-      AggState& st = states[i];
-      if (agg.fn == AggFn::kCountStar) {
-        ++st.count;
-        continue;
+    for (std::size_t r = 0; r < n; ++r) {
+      std::vector<Value> all_values;
+      all_values.reserve(group_by_.size());
+      for (const BatchVec& g : group_vals) all_values.push_back(g.ValueAt(r));
+      // Grouping key: only flagged exprs (FD-pruned columns are carried but
+      // not compared).
+      std::vector<Value> key;
+      key.reserve(group_by_.size());
+      for (std::size_t i = 0; i < group_by_.size(); ++i) {
+        if (key_flags_[i]) key.push_back(all_values[i]);
       }
-      auto v = agg.arg->Eval(row);
-      if (!v.ok()) return v.status();
-      if (v->is_null()) continue;
-      ++st.count;
-      st.any = true;
-      st.sum += v->NumericValue();
-      st.sum_type = v->type();
-      if (!st.min.has_value()) {
-        st.min = *v;
-        st.max = *v;
-      } else {
-        auto lt = v->Compare(*st.min);
-        if (lt.ok() && *lt < 0) st.min = *v;
-        auto gt = v->Compare(*st.max);
-        if (gt.ok() && *gt > 0) st.max = *v;
+      auto it = groups.find(key);
+      if (it == groups.end()) {
+        GroupData data;
+        data.output_values = std::move(all_values);
+        data.states.resize(aggregates_.size());
+        it = groups.emplace(key, std::move(data)).first;
+        group_order.push_back(std::move(key));
+      }
+      std::vector<AggState>& states = it->second.states;
+      for (std::size_t i = 0; i < aggregates_.size(); ++i) {
+        const AggregateItem& agg = aggregates_[i];
+        AggState& st = states[i];
+        if (agg.fn == AggFn::kCountStar) {
+          ++st.count;
+          continue;
+        }
+        const BatchVec& arg = arg_vals[i];
+        if (arg.null[r]) continue;
+        ++st.count;
+        st.any = true;
+        st.sum_type = arg.type;
+        if (arg.type != TypeId::kString) st.sum += arg.NumericAt(r);
+        if (agg.fn != AggFn::kMin && agg.fn != AggFn::kMax) continue;
+        Value v = arg.ValueAt(r);
+        if (!st.min.has_value()) {
+          st.min = v;
+          st.max = std::move(v);
+        } else {
+          auto lt = v.Compare(*st.min);
+          if (lt.ok() && *lt < 0) st.min = v;
+          auto gt = v.Compare(*st.max);
+          if (gt.ok() && *gt > 0) st.max = std::move(v);
+        }
       }
     }
   }
@@ -666,10 +680,8 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<bool> HashAggregateOp::Next(ExecContext*, std::vector<Value>* row) {
-  if (next_ >= results_.size()) return false;
-  *row = results_[next_++];
-  return true;
+Result<bool> HashAggregateOp::NextBatch(ExecContext*, ColumnBatch* batch) {
+  return EmitRows(schema_, &results_, &next_, batch);
 }
 
 // --------------------------------------------------------------------- Sort
@@ -682,28 +694,32 @@ Status SortOp::Open(ExecContext* ctx) {
   rows_.clear();
   next_ = 0;
   SOFTDB_RETURN_IF_ERROR(child_->Open(ctx));
-  std::vector<Value> row;
-  while (true) {
-    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterruptStrided());
-    auto has = child_->Next(ctx, &row);
-    if (!has.ok()) return has.status();
-    if (!*has) break;
-    rows_.push_back(std::move(row));
-    row = {};
-  }
-  if (presorted_) return Status::OK();
+  if (presorted_) return Status::OK();  // Batches stream through NextBatch.
 
-  ctx->stats.rows_sorted += rows_.size();
-  // Precompute key values per row to keep the comparator cheap.
-  std::vector<std::vector<Value>> key_values(rows_.size());
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    key_values[i].reserve(keys_.size());
+  // Key values per row, evaluated a batch at a time, keep the comparator
+  // cheap.
+  std::vector<std::vector<Value>> key_values;
+  ColumnBatch in;
+  BatchVec vec;
+  while (true) {
+    SOFTDB_RETURN_IF_ERROR(ctx->CheckInterrupt());
+    SOFTDB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &in));
+    if (!has) break;
+    const std::size_t n = in.sel_size();
+    const std::size_t first = rows_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      rows_.push_back(in.MaterializeRow(in.sel()[i]));
+    }
+    key_values.resize(rows_.size());
     for (const SortKey& k : keys_) {
-      auto v = k.expr->Eval(rows_[i]);
-      if (!v.ok()) return v.status();
-      key_values[i].push_back(*std::move(v));
+      SOFTDB_RETURN_IF_ERROR(EvalExprBatch(*k.expr, in, in.sel(), n, &vec));
+      for (std::size_t i = 0; i < n; ++i) {
+        key_values[first + i].push_back(vec.ValueAt(i));
+      }
     }
   }
+
+  ctx->stats.rows_sorted += rows_.size();
   std::vector<std::size_t> order(rows_.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
@@ -722,10 +738,9 @@ Status SortOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<bool> SortOp::Next(ExecContext*, std::vector<Value>* row) {
-  if (next_ >= rows_.size()) return false;
-  *row = rows_[next_++];
-  return true;
+Result<bool> SortOp::NextBatch(ExecContext* ctx, ColumnBatch* batch) {
+  if (presorted_) return child_->NextBatch(ctx, batch);
+  return EmitRows(schema_, &rows_, &next_, batch);
 }
 
 // ----------------------------------------------------------------- UnionAll
@@ -739,9 +754,10 @@ Status UnionAllOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<bool> UnionAllOp::Next(ExecContext* ctx, std::vector<Value>* row) {
+Result<bool> UnionAllOp::NextBatch(ExecContext* ctx, ColumnBatch* batch) {
   while (current_ < children_.size()) {
-    SOFTDB_ASSIGN_OR_RETURN(bool has, children_[current_]->Next(ctx, row));
+    SOFTDB_ASSIGN_OR_RETURN(bool has,
+                            children_[current_]->NextBatch(ctx, batch));
     if (has) return true;
     ++current_;
   }
@@ -758,11 +774,12 @@ Status LimitOp::Open(ExecContext* ctx) {
   return child_->Open(ctx);
 }
 
-Result<bool> LimitOp::Next(ExecContext* ctx, std::vector<Value>* row) {
+Result<bool> LimitOp::NextBatch(ExecContext* ctx, ColumnBatch* batch) {
   if (produced_ >= limit_) return false;
-  SOFTDB_ASSIGN_OR_RETURN(bool has, child_->Next(ctx, row));
+  SOFTDB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, batch));
   if (!has) return false;
-  ++produced_;
+  batch->set_sel_size(std::min(batch->sel_size(), limit_ - produced_));
+  produced_ += batch->sel_size();
   return true;
 }
 

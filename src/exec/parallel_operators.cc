@@ -23,35 +23,47 @@ std::vector<ExprPtr> CloneExprs(const std::vector<ExprPtr>& exprs) {
 }
 
 /// Runs one morsel through a pooled chain: binds the scan leaf to the
-/// morsel's slot range, drains the chain into `rows` (in batch selection
-/// order, which is table order), and reports the morsel's counters in
-/// `stats`. Per-worker state only; safe to run concurrently.
+/// morsel's slot range, hands every produced batch (in table order) to
+/// `sink`, and reports the morsel's counters in `stats`. Per-worker state
+/// only; safe to run concurrently.
 Status RunPipelineMorsel(ExecPool<PipelineChain>* pool,
                          const MorselRange& morsel,
-                         const std::vector<bool>* skip, bool use_kernels,
-                         const QueryContext* query, ExecStats* stats,
-                         std::vector<std::vector<Value>>* rows) {
+                         const std::vector<bool>* skip, const ExecContext& ctx,
+                         ExecStats* stats,
+                         const std::function<Status(const ColumnBatch&,
+                                                    ExecStats*)>& sink) {
   auto lease = pool->Acquire();
   lease->leaf->BindMorsel(morsel.base, morsel.rows, skip);
   ExecContext local;  // No scheduler: morsel tasks never nest parallelism.
   // Morsel granularity is the parallel engine's cancellation granularity:
   // the scan checks the shared token/deadline once per batch it produces.
-  local.query = query;
-  local.use_kernels = use_kernels;
+  local.query = ctx.query;
+  local.use_kernels = ctx.use_kernels;
   SOFTDB_RETURN_IF_ERROR(local.CheckInterrupt());
   SOFTDB_RETURN_IF_ERROR(lease->root->Open(&local));
   while (true) {
-    auto has = lease->root->NextBatch(&local, &lease->scratch);
-    if (!has.ok()) return has.status();
-    if (!*has) break;
-    const ColumnBatch& b = lease->scratch;
-    for (std::size_t i = 0; i < b.sel_size(); ++i) {
-      rows->push_back(b.MaterializeRow(b.sel()[i]));
-    }
+    SOFTDB_ASSIGN_OR_RETURN(bool has,
+                            lease->root->NextBatch(&local, &lease->scratch));
+    if (!has) break;
+    SOFTDB_RETURN_IF_ERROR(sink(lease->scratch, &local.stats));
   }
   ++local.stats.morsels;
   *stats = local.stats;
   return Status::OK();
+}
+
+/// Extracts row `pos`'s equi-key columns into *key; false on a NULL key
+/// (which never builds or matches).
+bool ExtractKey(const ColumnBatch& b, std::size_t pos,
+                const std::vector<JoinNode::EquiKey>& keys, bool left,
+                std::vector<Value>* key) {
+  key->clear();
+  for (const JoinNode::EquiKey& k : keys) {
+    const BatchColumn& col = b.column(left ? k.left : k.right);
+    if (col.IsNull(pos)) return false;
+    key->push_back(col.GetValue(pos));
+  }
+  return true;
 }
 
 /// Runs `fn` over every morsel — on the scheduler when one is available,
@@ -111,22 +123,46 @@ PipelineSpec PipelineSpec::Clone() const {
 
 std::unique_ptr<PipelineChain> BuildPipelineChain(const PipelineSpec& spec) {
   auto chain = std::make_unique<PipelineChain>();
-  auto scan = std::make_unique<BatchSeqScanOp>(
+  auto scan = std::make_unique<SeqScanOp>(
       spec.table, spec.scan_schema, ClonePredicates(spec.scan_predicates));
   scan->SetZoneMapSkips(spec.zone_skips);
   chain->leaf = scan.get();
-  BatchOperatorPtr op = std::move(scan);
+  OperatorPtr op = std::move(scan);
   for (const PipelineStage& stage : spec.stages) {
     if (stage.kind == PipelineStage::Kind::kFilter) {
-      op = std::make_unique<BatchFilterOp>(std::move(op),
-                                           ClonePredicates(stage.predicates));
+      op = std::make_unique<FilterOp>(std::move(op),
+                                      ClonePredicates(stage.predicates));
     } else {
-      op = std::make_unique<BatchProjectOp>(std::move(op), stage.schema,
-                                            CloneExprs(stage.exprs));
+      op = std::make_unique<ProjectOp>(std::move(op), stage.schema,
+                                       CloneExprs(stage.exprs));
     }
   }
   chain->root = std::move(op);
   return chain;
+}
+
+void MorselOutput::Reset(std::size_t morsels) {
+  batches_.clear();
+  batches_.resize(morsels);
+  cursor_morsel_ = 0;
+  cursor_batch_ = 0;
+}
+
+bool MorselOutput::Next(ColumnBatch* batch) {
+  while (cursor_morsel_ < batches_.size()) {
+    std::vector<ColumnBatch>& buffered = batches_[cursor_morsel_];
+    if (cursor_batch_ < buffered.size()) {
+      ColumnBatch& next = buffered[cursor_batch_++];
+      if (next.sel_size() == 0) continue;
+      *batch = std::move(next);
+      return true;
+    }
+    buffered.clear();
+    buffered.shrink_to_fit();
+    ++cursor_morsel_;
+    cursor_batch_ = 0;
+  }
+  return false;
 }
 
 // ------------------------------------------------------- ParallelPipeline
@@ -137,9 +173,7 @@ ParallelPipelineOp::ParallelPipelineOp(PipelineSpec spec,
       morsel_rows_(morsel_rows == 0 ? 1 : morsel_rows) {}
 
 Status ParallelPipelineOp::Open(ExecContext* ctx) {
-  results_.clear();
-  cursor_morsel_ = 0;
-  cursor_row_ = 0;
+  output_.Reset(0);
 
   // Resolve the §4.2 runtime parameters exactly once per query: every
   // morsel shares one consistent snapshot of the index-maintained SC
@@ -156,36 +190,27 @@ Status ParallelPipelineOp::Open(ExecContext* ctx) {
 
   const std::vector<MorselRange> morsels =
       SplitMorsels(spec_.table->NumSlots(), morsel_rows_);
-  results_.resize(morsels.size());
+  output_.Reset(morsels.size());
   if (morsels.empty()) return Status::OK();
 
   ExecPool<PipelineChain> pool([this] { return BuildPipelineChain(spec_); });
   std::vector<ExecStats> worker_stats(morsels.size());
   SOFTDB_RETURN_IF_ERROR(ForEachMorsel(
       ctx, morsels, [this, ctx, &pool, &worker_stats](const MorselRange& m) {
-        return RunPipelineMorsel(&pool, m, &skip_, ctx->use_kernels,
-                                 ctx->query, &worker_stats[m.index],
-                                 &results_[m.index]);
+        std::vector<ColumnBatch>& out = output_.morsel(m.index);
+        return RunPipelineMorsel(
+            &pool, m, &skip_, *ctx, &worker_stats[m.index],
+            [&out](const ColumnBatch& b, ExecStats*) {
+              out.emplace_back().CopySelectedFrom(b);
+              return Status::OK();
+            });
       }));
   MergeWorkerStats(worker_stats, &ctx->stats);
   return Status::OK();
 }
 
-Result<bool> ParallelPipelineOp::Next(ExecContext* ctx,
-                                      std::vector<Value>* row) {
-  (void)ctx;
-  while (cursor_morsel_ < results_.size()) {
-    std::vector<std::vector<Value>>& morsel_rows = results_[cursor_morsel_];
-    if (cursor_row_ < morsel_rows.size()) {
-      *row = std::move(morsel_rows[cursor_row_++]);
-      return true;
-    }
-    morsel_rows.clear();
-    morsel_rows.shrink_to_fit();
-    ++cursor_morsel_;
-    cursor_row_ = 0;
-  }
-  return false;
+Result<bool> ParallelPipelineOp::NextBatch(ExecContext*, ColumnBatch* batch) {
+  return output_.Next(batch);
 }
 
 // ------------------------------------------------------- ParallelHashJoin
@@ -201,9 +226,7 @@ ParallelHashJoinOp::ParallelHashJoinOp(PipelineSpec probe, PipelineSpec build,
 
 Status ParallelHashJoinOp::Open(ExecContext* ctx) {
   partitions_.clear();
-  results_.clear();
-  cursor_morsel_ = 0;
-  cursor_row_ = 0;
+  output_.Reset(0);
   SOFTDB_RETURN_IF_ERROR(RunBuildPhase(ctx));
   SOFTDB_RETURN_IF_ERROR(RunProbePhase(ctx));
   return Status::OK();
@@ -229,29 +252,19 @@ Status ParallelHashJoinOp::RunBuildPhase(ExecContext* ctx) {
   ExecPool<PipelineChain> pool([this] { return BuildPipelineChain(build_); });
   SOFTDB_RETURN_IF_ERROR(ForEachMorsel(
       ctx, morsels,
-      [this, ctx, &pool, &worker_stats, &keyed](const MorselRange& m) -> Status {
-        std::vector<std::vector<Value>> rows;
-        SOFTDB_RETURN_IF_ERROR(RunPipelineMorsel(&pool, m, &build_skip_,
-                                                 ctx->use_kernels, ctx->query,
-                                                 &worker_stats[m.index],
-                                                 &rows));
+      [this, ctx, &pool, &worker_stats, &keyed](const MorselRange& m) {
         KeyedRows& out = keyed[m.index];
-        out.reserve(rows.size());
-        for (std::vector<Value>& row : rows) {
-          std::vector<Value> key;
-          key.reserve(keys_.size());
-          bool null_key = false;
-          for (const JoinNode::EquiKey& k : keys_) {
-            if (row[k.right].is_null()) {
-              null_key = true;
-              break;
-            }
-            key.push_back(row[k.right]);
-          }
-          if (null_key) continue;
-          out.emplace_back(std::move(key), std::move(row));
-        }
-        return Status::OK();
+        return RunPipelineMorsel(
+            &pool, m, &build_skip_, *ctx, &worker_stats[m.index],
+            [this, &out](const ColumnBatch& b, ExecStats*) {
+              std::vector<Value> key;
+              for (std::size_t i = 0; i < b.sel_size(); ++i) {
+                const std::size_t pos = b.sel()[i];
+                if (!ExtractKey(b, pos, keys_, /*left=*/false, &key)) continue;
+                out.emplace_back(key, b.MaterializeRow(pos));
+              }
+              return Status::OK();
+            });
       }));
   MergeWorkerStats(worker_stats, &ctx->stats);
 
@@ -294,7 +307,7 @@ Status ParallelHashJoinOp::RunProbePhase(ExecContext* ctx) {
 
   const std::vector<MorselRange> morsels =
       SplitMorsels(probe_.table->NumSlots(), morsel_rows_);
-  results_.resize(morsels.size());
+  output_.Reset(morsels.size());
   if (morsels.empty()) return Status::OK();
 
   std::vector<ExecStats> worker_stats(morsels.size());
@@ -302,74 +315,51 @@ Status ParallelHashJoinOp::RunProbePhase(ExecContext* ctx) {
   const ValueVecHash hasher;
   SOFTDB_RETURN_IF_ERROR(ForEachMorsel(
       ctx, morsels,
-      [this, ctx, &pool, &worker_stats, &hasher](const MorselRange& m) -> Status {
-        auto lease = pool.Acquire();
-        lease->leaf->BindMorsel(m.base, m.rows, &probe_skip_);
-        ExecContext local;
-        local.query = ctx->query;
-        local.use_kernels = ctx->use_kernels;
-        SOFTDB_RETURN_IF_ERROR(local.CheckInterrupt());
-        SOFTDB_RETURN_IF_ERROR(lease->root->Open(&local));
-        std::vector<std::vector<Value>>& out = results_[m.index];
-        while (true) {
-          auto has = lease->root->NextBatch(&local, &lease->scratch);
-          if (!has.ok()) return has.status();
-          if (!*has) break;
-          const ColumnBatch& b = lease->scratch;
+      [this, ctx, &pool, &worker_stats, &hasher](const MorselRange& m) {
+        std::vector<ColumnBatch>& out = output_.morsel(m.index);
+        std::vector<Value> key;
+        const auto probe = [&](const ColumnBatch& b,
+                               ExecStats* stats) -> Status {
           for (std::size_t i = 0; i < b.sel_size(); ++i) {
             const std::size_t pos = b.sel()[i];
-            std::vector<Value> key;
-            key.reserve(keys_.size());
-            bool null_key = false;
-            for (const JoinNode::EquiKey& k : keys_) {
-              if (b.column(k.left).IsNull(pos)) {
-                null_key = true;
-                break;
-              }
-              key.push_back(b.column(k.left).GetValue(pos));
-            }
-            if (null_key) continue;
+            if (!ExtractKey(b, pos, keys_, /*left=*/true, &key)) continue;
             const BuildMap& map =
                 partitions_[hasher(key) % partitions_.size()];
             auto it = map.find(key);
             if (it == map.end()) continue;
-            std::vector<Value> probe_row;
+            const std::vector<Value> probe_row = b.MaterializeRow(pos);
             for (const std::vector<Value>& right_row : it->second) {
-              // Counted before the residual, exactly as BatchHashJoinOp.
-              ++local.stats.rows_joined;
-              if (probe_row.empty()) probe_row = b.MaterializeRow(pos);
+              // Counted before the residual, exactly as HashJoinOp.
+              ++stats->rows_joined;
               std::vector<Value> combined = probe_row;
               combined.insert(combined.end(), right_row.begin(),
                               right_row.end());
               SOFTDB_ASSIGN_OR_RETURN(bool pass,
                                       EvalPredicates(residual_, combined));
-              if (pass) out.push_back(std::move(combined));
+              if (!pass) continue;
+              if (out.empty() || out.back().size() == kBatchCapacity) {
+                out.emplace_back().Reset(schema_);
+              }
+              ColumnBatch& dst = out.back();
+              for (std::size_t c = 0; c < combined.size(); ++c) {
+                dst.column(c).AppendValue(combined[c]);
+              }
+              dst.set_size(dst.size() + 1);
             }
           }
-        }
-        ++local.stats.morsels;
-        worker_stats[m.index] = local.stats;
+          return Status::OK();
+        };
+        SOFTDB_RETURN_IF_ERROR(RunPipelineMorsel(
+            &pool, m, &probe_skip_, *ctx, &worker_stats[m.index], probe));
+        for (ColumnBatch& b : out) b.SelectAll(b.size());
         return Status::OK();
       }));
   MergeWorkerStats(worker_stats, &ctx->stats);
   return Status::OK();
 }
 
-Result<bool> ParallelHashJoinOp::Next(ExecContext* ctx,
-                                      std::vector<Value>* row) {
-  (void)ctx;
-  while (cursor_morsel_ < results_.size()) {
-    std::vector<std::vector<Value>>& morsel_rows = results_[cursor_morsel_];
-    if (cursor_row_ < morsel_rows.size()) {
-      *row = std::move(morsel_rows[cursor_row_++]);
-      return true;
-    }
-    morsel_rows.clear();
-    morsel_rows.shrink_to_fit();
-    ++cursor_morsel_;
-    cursor_row_ = 0;
-  }
-  return false;
+Result<bool> ParallelHashJoinOp::NextBatch(ExecContext*, ColumnBatch* batch) {
+  return output_.Next(batch);
 }
 
 }  // namespace softdb

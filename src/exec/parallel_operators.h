@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "exec/batch_operators.h"
 #include "exec/morsel.h"
 #include "exec/operator.h"
 #include "exec/operators.h"
@@ -62,12 +61,28 @@ struct PipelineSpec {
 /// operator chain, its morsel-bindable scan leaf, and the reused
 /// ColumnBatch scratch. Leased from an ExecPool, one per live worker.
 struct PipelineChain {
-  BatchOperatorPtr root;
-  BatchSeqScanOp* leaf = nullptr;
+  OperatorPtr root;
+  SeqScanOp* leaf = nullptr;
   ColumnBatch scratch;
 };
 
 std::unique_ptr<PipelineChain> BuildPipelineChain(const PipelineSpec& spec);
+
+/// Per-morsel output buffers of a parallel operator, drained in morsel
+/// order so output is bit-identical to serial execution.
+class MorselOutput {
+ public:
+  /// Clears every buffer and sizes the output for `morsels` morsels.
+  void Reset(std::size_t morsels);
+  std::vector<ColumnBatch>& morsel(std::size_t i) { return batches_[i]; }
+  /// Moves the next non-empty buffered batch into *batch; false at end.
+  bool Next(ColumnBatch* batch);
+
+ private:
+  std::vector<std::vector<ColumnBatch>> batches_;
+  std::size_t cursor_morsel_ = 0;
+  std::size_t cursor_batch_ = 0;
+};
 
 /// Morsel-driven parallel scan pipeline (scan → filter* → project?).
 ///
@@ -75,10 +90,10 @@ std::unique_ptr<PipelineChain> BuildPipelineChain(const PipelineSpec& spec);
 /// sees the same consistent SC snapshot and the per-query accounting
 /// matches the serial scan — then runs one task per morsel on
 /// ExecContext::scheduler (inline when absent). Workers drain a pooled
-/// chain bound to their morsel's slot range into a per-morsel result
-/// buffer with per-morsel ExecStats; the coordinator concatenates both in
-/// morsel order, so output and stats are bit-identical to serial
-/// execution.
+/// chain bound to their morsel's slot range into per-morsel owned
+/// ColumnBatches with per-morsel ExecStats; the coordinator emits the
+/// batches and sums the stats in morsel order, so output and stats are
+/// bit-identical to serial execution.
 class ParallelPipelineOp final : public Operator {
  public:
   ParallelPipelineOp(PipelineSpec spec, std::size_t morsel_rows);
@@ -88,15 +103,13 @@ class ParallelPipelineOp final : public Operator {
   std::size_t morsel_rows() const { return morsel_rows_; }
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, std::vector<Value>* row) override;
+  Result<bool> NextBatch(ExecContext* ctx, ColumnBatch* batch) override;
 
  private:
   PipelineSpec spec_;
   std::size_t morsel_rows_;
   std::vector<bool> skip_;  // Resolved §4.2 skip set, shared by morsels.
-  std::vector<std::vector<std::vector<Value>>> results_;  // Per morsel.
-  std::size_t cursor_morsel_ = 0;
-  std::size_t cursor_row_ = 0;
+  MorselOutput output_;
 };
 
 /// Parallel hash join on equi keys over two pipeline inputs.
@@ -107,8 +120,8 @@ class ParallelPipelineOp final : public Operator {
 /// row order matches the serial build — into hash-partitioned tables;
 /// (3) probe-side morsels run in parallel, each probing the read-only
 /// partitions and emitting matched rows (residual applied after
-/// rows_joined counting, exactly like BatchHashJoinOp) into per-morsel
-/// buffers merged in morsel order. NULL keys never build or match.
+/// rows_joined counting, exactly like HashJoinOp) into per-morsel
+/// batches emitted in morsel order. NULL keys never build or match.
 class ParallelHashJoinOp final : public Operator {
  public:
   ParallelHashJoinOp(PipelineSpec probe, PipelineSpec build,
@@ -123,7 +136,7 @@ class ParallelHashJoinOp final : public Operator {
   std::size_t morsel_rows() const { return morsel_rows_; }
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, std::vector<Value>* row) override;
+  Result<bool> NextBatch(ExecContext* ctx, ColumnBatch* batch) override;
 
  private:
   using BuildMap =
@@ -142,9 +155,7 @@ class ParallelHashJoinOp final : public Operator {
   std::vector<bool> probe_skip_;
   std::vector<bool> build_skip_;
   std::vector<BuildMap> partitions_;
-  std::vector<std::vector<std::vector<Value>>> results_;  // Per probe morsel.
-  std::size_t cursor_morsel_ = 0;
-  std::size_t cursor_row_ = 0;
+  MorselOutput output_;  // Per probe morsel.
 };
 
 }  // namespace softdb

@@ -47,28 +47,18 @@ struct OptimizerContext {
   /// SCs are recorded as rewrite-consumed, so the epoch-snapshot /
   /// degraded-retry protocol guards mid-query widenings.
   bool enable_zone_maps = true;
-  /// Plan equi joins as sort-merge instead of hash join. Independently of
-  /// this flag, the planner uses sort-merge when a downstream ORDER BY
-  /// matches the join keys (interesting orders), eliding the sort.
-  bool prefer_sort_merge_join = false;
   /// §4.2 runtime plan parameterization: sequential scans re-check simple
   /// predicates over indexed columns against the index's current min/max
   /// at Open (tautologies skipped, contradictions short-circuit) without
   /// invalidating the plan.
   bool enable_runtime_parameterization = true;
-  /// Lower scans, filters, projections and equi hash joins to the
-  /// vectorized batch engine (selection vectors over ColumnBatches) where
-  /// possible; unsupported operators fall back to the row engine per
-  /// subtree. Results and ExecStats are identical either way — LIMIT
-  /// subtrees stay on the row engine so early-exit accounting matches.
-  bool use_vectorized = true;
   /// Run PlanVerifier after each rewrite and physical-planning phase.
   /// Debug builds verify regardless (see ShouldVerifyPlans).
   bool verify_plans = true;
   /// Parallel morsel-driven execution (DESIGN.md §8): with more than one
-  /// thread, the planner lowers parallel-safe vectorized subtrees
-  /// (seq-scan pipelines and equi hash joins over them) to the parallel
-  /// operators. 1 = serial. Requires use_vectorized.
+  /// thread, the planner lowers parallel-safe subtrees (seq-scan
+  /// pipelines and equi hash joins over them) to the parallel operators.
+  /// 1 = serial.
   std::size_t num_threads = 1;
   /// Slot-range size of one parallel scan morsel.
   std::size_t parallel_morsel_rows = 4096;

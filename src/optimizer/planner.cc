@@ -48,7 +48,7 @@ Value BoundValue(double v, TypeId type, bool is_lower) {
 /// §4.2 runtime parameterization: simple predicates over indexed columns
 /// are re-checked against the index's *current* min/max at every Open, so
 /// the compiled plan adapts to updates without invalidation. Shared by the
-/// row and batch sequential scans.
+/// serial scan and the parallel pipeline spec.
 template <typename ScanOpT>
 void WireRuntimeParams(const OptimizerContext* ctx, const ScanNode& scan,
                        ScanOpT* op) {
@@ -105,7 +105,7 @@ bool OperandPairErrorFree(TypeId col_type, const Value& literal) {
 /// row of `schema`. This gates zone-map skipping: a skipped block's rows
 /// are never evaluated, so every predicate of the scan — not only the one
 /// that proved the block empty — must be statically error-free, or a
-/// pruned scan could silently swallow a type error the row engine raises.
+/// pruned scan could silently swallow a type error evaluation raises.
 bool PredicateErrorFree(const Expr& e, const Schema& schema) {
   switch (e.kind()) {
     case ExprKind::kComparison: {
@@ -241,7 +241,10 @@ ZoneMapSkips PhysicalPlanner::ComputeZoneMapSkips(const ScanNode& scan,
       continue;
     }
     any_test = true;
-    const std::vector<ZoneMapSc::BlockSma> blocks = zm->SnapshotBlocks();
+    // The certificate records the epoch these blocks were read at.
+    std::uint64_t zm_epoch = 0;
+    const std::vector<ZoneMapSc::BlockSma> blocks =
+        zm->SnapshotBlocks(&zm_epoch);
     const std::size_t n = std::min(nblocks, blocks.size());
     std::uint64_t contributed = 0;
     std::vector<std::uint64_t> sc_blocks;
@@ -294,7 +297,7 @@ ZoneMapSkips PhysicalPlanner::ComputeZoneMapSkips(const ScanNode& scan,
         CertificatePremise p;
         p.kind = CertificatePremise::Kind::kZoneBlock;
         p.source = "sc:" + zm->name();
-        AppendScEpochs(p.source, ctx_->scs, &p.sc_epochs);
+        p.sc_epochs.emplace_back(zm->name(), zm_epoch);
         p.block_index = b;
         p.block_min = blocks[b].min;
         p.block_max = blocks[b].max;
@@ -377,112 +380,9 @@ Result<AccessPathChoice> PhysicalPlanner::ChooseAccessPath(
   return choice;
 }
 
-Result<OperatorPtr> PhysicalPlanner::PlanScan(const ScanNode& scan) const {
-  const Table* table = scan.external_table();
-  if (table == nullptr) {
-    SOFTDB_ASSIGN_OR_RETURN(Table * t,
-                            ctx_->catalog->GetTable(scan.table_name()));
-    table = t;
-  }
-  const RangeMap ranges =
-      BuildRangeMap(scan.predicates(), /*include_estimation_only=*/false);
-  if (ranges.unsatisfiable) {
-    return OperatorPtr(std::make_unique<EmptyOp>(scan.output_schema()));
-  }
-  SOFTDB_ASSIGN_OR_RETURN(AccessPathChoice choice, ChooseAccessPath(scan));
-  if (choice.index != nullptr) {
-    return OperatorPtr(std::make_unique<IndexRangeScanOp>(
-        table, choice.index, scan.output_schema(), choice.lo,
-        choice.lo_inclusive, choice.hi, choice.hi_inclusive,
-        CloneExecutablePredicates(scan.predicates())));
-  }
-  auto seq = std::make_unique<SeqScanOp>(table, scan.output_schema(),
-                                         CloneExecutablePredicates(scan.predicates()));
-  WireRuntimeParams(ctx_, scan, seq.get());
-  seq->SetZoneMapSkips(ZoneMapSkipsFor(scan, table));
-  return OperatorPtr(std::move(seq));
-}
-
-Result<BatchOperatorPtr> PhysicalPlanner::TryPlanBatch(
-    const PlanNode& node) const {
-  switch (node.kind()) {
-    case PlanKind::kScan: {
-      const auto& scan = static_cast<const ScanNode&>(node);
-      const Table* table = scan.external_table();
-      if (table == nullptr) {
-        SOFTDB_ASSIGN_OR_RETURN(Table * t,
-                                ctx_->catalog->GetTable(scan.table_name()));
-        table = t;
-      }
-      const RangeMap ranges =
-          BuildRangeMap(scan.predicates(), /*include_estimation_only=*/false);
-      // Unsatisfiable scans become the row engine's EmptyOp.
-      if (ranges.unsatisfiable) return BatchOperatorPtr(nullptr);
-      SOFTDB_ASSIGN_OR_RETURN(AccessPathChoice choice, ChooseAccessPath(scan));
-      if (choice.index != nullptr) {
-        return BatchOperatorPtr(std::make_unique<BatchIndexRangeScanOp>(
-            table, choice.index, scan.output_schema(), choice.lo,
-            choice.lo_inclusive, choice.hi, choice.hi_inclusive,
-            CloneExecutablePredicates(scan.predicates())));
-      }
-      auto seq = std::make_unique<BatchSeqScanOp>(
-          table, scan.output_schema(), CloneExecutablePredicates(scan.predicates()));
-      WireRuntimeParams(ctx_, scan, seq.get());
-      seq->SetZoneMapSkips(ZoneMapSkipsFor(scan, table));
-      return BatchOperatorPtr(std::move(seq));
-    }
-    case PlanKind::kFilter: {
-      const auto& filter = static_cast<const FilterNode&>(node);
-      SOFTDB_ASSIGN_OR_RETURN(BatchOperatorPtr child,
-                              TryPlanBatch(*node.children()[0]));
-      if (!child) return BatchOperatorPtr(nullptr);
-      return BatchOperatorPtr(std::make_unique<BatchFilterOp>(
-          std::move(child), CloneExecutablePredicates(filter.predicates())));
-    }
-    case PlanKind::kProject: {
-      const auto& proj = static_cast<const ProjectNode&>(node);
-      SOFTDB_ASSIGN_OR_RETURN(BatchOperatorPtr child,
-                              TryPlanBatch(*node.children()[0]));
-      if (!child) return BatchOperatorPtr(nullptr);
-      std::vector<ExprPtr> exprs;
-      exprs.reserve(proj.exprs().size());
-      for (const ExprPtr& e : proj.exprs()) exprs.push_back(e->Clone());
-      return BatchOperatorPtr(std::make_unique<BatchProjectOp>(
-          std::move(child), proj.output_schema(), std::move(exprs)));
-    }
-    case PlanKind::kJoin: {
-      const auto& join = static_cast<const JoinNode&>(node);
-      if (join.equi_keys().empty() || ctx_->prefer_sort_merge_join) {
-        return BatchOperatorPtr(nullptr);
-      }
-      // The batch join rebuilds output cells through schema-typed columns;
-      // scan/filter/join inputs carry table-typed values so the rebuild is
-      // lossless. Projection inputs may carry expression-typed NULLs, so
-      // those joins stay on the row engine.
-      for (const PlanPtr& c : node.children()) {
-        if (c->kind() != PlanKind::kScan && c->kind() != PlanKind::kFilter &&
-            c->kind() != PlanKind::kJoin) {
-          return BatchOperatorPtr(nullptr);
-        }
-      }
-      SOFTDB_ASSIGN_OR_RETURN(BatchOperatorPtr left,
-                              TryPlanBatch(*node.children()[0]));
-      if (!left) return BatchOperatorPtr(nullptr);
-      SOFTDB_ASSIGN_OR_RETURN(BatchOperatorPtr right,
-                              TryPlanBatch(*node.children()[1]));
-      if (!right) return BatchOperatorPtr(nullptr);
-      return BatchOperatorPtr(std::make_unique<BatchHashJoinOp>(
-          std::move(left), std::move(right), join.equi_keys(),
-          CloneExecutablePredicates(join.conditions())));
-    }
-    default:
-      return BatchOperatorPtr(nullptr);
-  }
-}
-
 Result<OperatorPtr> PhysicalPlanner::Plan(const PlanNode& node) const {
   SOFTDB_ASSIGN_OR_RETURN(OperatorPtr root,
-                          Plan(node, /*allow_vectorized=*/true));
+                          Plan(node, /*under_limit=*/false));
   if (ShouldVerifyPlans(ctx_->verify_plans)) {
     PlanVerifier verifier({ctx_->catalog, ctx_->mvs, &ctx_->exception_asts});
     SOFTDB_RETURN_IF_ERROR(
@@ -498,7 +398,7 @@ Result<std::optional<PipelineSpec>> PhysicalPlanner::TryBuildPipelineSpec(
       const auto& scan = static_cast<const ScanNode&>(node);
       // External tables (exception ASTs) have no morsel-splittable
       // storage contract; unsatisfiable scans become EmptyOp; index
-      // access paths stay on the serial batch engine.
+      // access paths stay serial.
       if (scan.external_table() != nullptr) return std::optional<PipelineSpec>();
       const RangeMap ranges =
           BuildRangeMap(scan.predicates(), /*include_estimation_only=*/false);
@@ -555,47 +455,21 @@ Result<OperatorPtr> PhysicalPlanner::TryPlanParallel(
     case PlanKind::kProject: {
       SOFTDB_ASSIGN_OR_RETURN(std::optional<PipelineSpec> spec,
                               TryBuildPipelineSpec(node, /*allow_project=*/true));
-      if (spec.has_value()) {
-        return OperatorPtr(std::make_unique<ParallelPipelineOp>(
-            std::move(*spec), ctx_->parallel_morsel_rows));
-      }
-      // Not a pure scan pipeline (e.g. a projection or filter over a
-      // join): keep this node serial but let the subtree below it go
-      // parallel. The row-engine wrapper accounts stats identically to
-      // its batch counterpart, so output stays bit-identical.
-      if (node.children().size() != 1) return OperatorPtr(nullptr);
-      SOFTDB_ASSIGN_OR_RETURN(OperatorPtr child,
-                              TryPlanParallel(*node.children()[0]));
-      if (!child) return OperatorPtr(nullptr);
-      if (node.kind() == PlanKind::kFilter) {
-        const auto& filter = static_cast<const FilterNode&>(node);
-        return OperatorPtr(std::make_unique<FilterOp>(
-            std::move(child),
-            CloneExecutablePredicates(filter.predicates())));
-      }
-      const auto& proj = static_cast<const ProjectNode&>(node);
-      std::vector<ExprPtr> exprs;
-      exprs.reserve(proj.exprs().size());
-      for (const ExprPtr& e : proj.exprs()) exprs.push_back(e->Clone());
-      return OperatorPtr(std::make_unique<ProjectOp>(
-          std::move(child), proj.output_schema(), std::move(exprs)));
+      if (!spec.has_value()) return OperatorPtr(nullptr);
+      return OperatorPtr(std::make_unique<ParallelPipelineOp>(
+          std::move(*spec), ctx_->parallel_morsel_rows));
     }
     case PlanKind::kJoin: {
       const auto& join = static_cast<const JoinNode&>(node);
-      if (join.equi_keys().empty() || ctx_->prefer_sort_merge_join) {
-        return OperatorPtr(nullptr);
-      }
-      // Same input restriction as the serial batch join: projection
-      // inputs may carry expression-typed values, so only scan/filter
-      // pipelines feed the parallel join. Nested joins fall back to the
-      // serial batch engine wholesale.
+      if (join.equi_keys().empty()) return OperatorPtr(nullptr);
+      // Both inputs must be scan pipelines; nested joins stay serial.
       SOFTDB_ASSIGN_OR_RETURN(
           std::optional<PipelineSpec> probe,
-          TryBuildPipelineSpec(*node.children()[0], /*allow_project=*/false));
+          TryBuildPipelineSpec(*node.children()[0], /*allow_project=*/true));
       if (!probe.has_value()) return OperatorPtr(nullptr);
       SOFTDB_ASSIGN_OR_RETURN(
           std::optional<PipelineSpec> build,
-          TryBuildPipelineSpec(*node.children()[1], /*allow_project=*/false));
+          TryBuildPipelineSpec(*node.children()[1], /*allow_project=*/true));
       if (!build.has_value()) return OperatorPtr(nullptr);
       return OperatorPtr(std::make_unique<ParallelHashJoinOp>(
           std::move(*probe), std::move(*build), join.equi_keys(),
@@ -608,32 +482,53 @@ Result<OperatorPtr> PhysicalPlanner::TryPlanParallel(
 }
 
 Result<OperatorPtr> PhysicalPlanner::Plan(const PlanNode& node,
-                                          bool allow_vectorized) const {
+                                          bool under_limit) const {
   // Parallel-safe subtrees first: morsel-driven execution subsumes the
-  // serial batch lowering for the shapes it supports. Never under LIMIT
-  // (allow_vectorized is cleared there) — the kParallelSafety invariant.
-  if (allow_vectorized && ctx_->use_vectorized && ctx_->num_threads > 1) {
+  // serial lowering for the shapes it supports. Never under LIMIT — the
+  // kParallelSafety invariant.
+  if (!under_limit && ctx_->num_threads > 1) {
     SOFTDB_ASSIGN_OR_RETURN(OperatorPtr par, TryPlanParallel(node));
     if (par) return par;
   }
-  if (allow_vectorized && ctx_->use_vectorized) {
-    SOFTDB_ASSIGN_OR_RETURN(BatchOperatorPtr batch, TryPlanBatch(node));
-    if (batch) {
-      return OperatorPtr(std::make_unique<BatchAdapterOp>(std::move(batch)));
-    }
-  }
   switch (node.kind()) {
-    case PlanKind::kScan:
-      return PlanScan(static_cast<const ScanNode&>(node));
+    case PlanKind::kScan: {
+      const auto& scan = static_cast<const ScanNode&>(node);
+      const Table* table = scan.external_table();
+      if (table == nullptr) {
+        SOFTDB_ASSIGN_OR_RETURN(Table * t,
+                                ctx_->catalog->GetTable(scan.table_name()));
+        table = t;
+      }
+      const RangeMap ranges =
+          BuildRangeMap(scan.predicates(), /*include_estimation_only=*/false);
+      if (ranges.unsatisfiable) {
+        return OperatorPtr(std::make_unique<EmptyOp>(scan.output_schema()));
+      }
+      SOFTDB_ASSIGN_OR_RETURN(AccessPathChoice choice, ChooseAccessPath(scan));
+      if (choice.index != nullptr) {
+        return OperatorPtr(std::make_unique<IndexRangeScanOp>(
+            table, choice.index, scan.output_schema(), choice.lo,
+            choice.lo_inclusive, choice.hi, choice.hi_inclusive,
+            CloneExecutablePredicates(scan.predicates())));
+      }
+      auto seq = std::make_unique<SeqScanOp>(
+          table, scan.output_schema(),
+          CloneExecutablePredicates(scan.predicates()));
+      WireRuntimeParams(ctx_, scan, seq.get());
+      seq->SetZoneMapSkips(ZoneMapSkipsFor(scan, table));
+      return OperatorPtr(std::move(seq));
+    }
     case PlanKind::kFilter: {
       const auto& filter = static_cast<const FilterNode&>(node);
-      SOFTDB_ASSIGN_OR_RETURN(OperatorPtr child, Plan(*node.children()[0], allow_vectorized));
+      SOFTDB_ASSIGN_OR_RETURN(OperatorPtr child,
+                              Plan(*node.children()[0], under_limit));
       return OperatorPtr(std::make_unique<FilterOp>(
           std::move(child), CloneExecutablePredicates(filter.predicates())));
     }
     case PlanKind::kProject: {
       const auto& proj = static_cast<const ProjectNode&>(node);
-      SOFTDB_ASSIGN_OR_RETURN(OperatorPtr child, Plan(*node.children()[0], allow_vectorized));
+      SOFTDB_ASSIGN_OR_RETURN(OperatorPtr child,
+                              Plan(*node.children()[0], under_limit));
       std::vector<ExprPtr> exprs;
       exprs.reserve(proj.exprs().size());
       for (const ExprPtr& e : proj.exprs()) exprs.push_back(e->Clone());
@@ -642,14 +537,11 @@ Result<OperatorPtr> PhysicalPlanner::Plan(const PlanNode& node,
     }
     case PlanKind::kJoin: {
       const auto& join = static_cast<const JoinNode&>(node);
-      SOFTDB_ASSIGN_OR_RETURN(OperatorPtr left, Plan(*node.children()[0], allow_vectorized));
-      SOFTDB_ASSIGN_OR_RETURN(OperatorPtr right, Plan(*node.children()[1], allow_vectorized));
+      SOFTDB_ASSIGN_OR_RETURN(OperatorPtr left,
+                              Plan(*node.children()[0], under_limit));
+      SOFTDB_ASSIGN_OR_RETURN(OperatorPtr right,
+                              Plan(*node.children()[1], under_limit));
       if (!join.equi_keys().empty()) {
-        if (ctx_->prefer_sort_merge_join) {
-          return OperatorPtr(std::make_unique<SortMergeJoinOp>(
-              std::move(left), std::move(right), join.equi_keys(),
-              CloneExecutablePredicates(join.conditions())));
-        }
         return OperatorPtr(std::make_unique<HashJoinOp>(
             std::move(left), std::move(right), join.equi_keys(),
             CloneExecutablePredicates(join.conditions())));
@@ -660,7 +552,8 @@ Result<OperatorPtr> PhysicalPlanner::Plan(const PlanNode& node,
     }
     case PlanKind::kAggregate: {
       const auto& agg = static_cast<const AggregateNode&>(node);
-      SOFTDB_ASSIGN_OR_RETURN(OperatorPtr child, Plan(*node.children()[0], allow_vectorized));
+      SOFTDB_ASSIGN_OR_RETURN(OperatorPtr child,
+                              Plan(*node.children()[0], under_limit));
       std::vector<ExprPtr> groups;
       groups.reserve(agg.group_by().size());
       for (const ExprPtr& g : agg.group_by()) groups.push_back(g->Clone());
@@ -673,53 +566,20 @@ Result<OperatorPtr> PhysicalPlanner::Plan(const PlanNode& node,
     }
     case PlanKind::kSort: {
       const auto& sort = static_cast<const SortNode&>(node);
-      bool presorted = false;
-      OperatorPtr child;
-
-      // Interesting orders: ORDER BY on a prefix of an equi join's left
-      // key columns (all ascending) — plan the join as sort-merge, whose
-      // output already carries that order, and elide the sort.
-      if (node.children()[0]->kind() == PlanKind::kJoin) {
-        const auto& join =
-            static_cast<const JoinNode&>(*node.children()[0]);
-        bool matches = !join.equi_keys().empty() &&
-                       sort.keys().size() <= join.equi_keys().size();
-        for (std::size_t i = 0; matches && i < sort.keys().size(); ++i) {
-          const SortKey& k = sort.keys()[i];
-          matches = k.ascending &&
-                    k.expr->kind() == ExprKind::kColumnRef &&
-                    static_cast<const ColumnRefExpr&>(*k.expr).bound() &&
-                    static_cast<const ColumnRefExpr&>(*k.expr).index() ==
-                        join.equi_keys()[i].left;
-        }
-        if (matches) {
-          SOFTDB_ASSIGN_OR_RETURN(OperatorPtr left,
-                                  Plan(*join.children()[0], allow_vectorized));
-          SOFTDB_ASSIGN_OR_RETURN(OperatorPtr right,
-                                  Plan(*join.children()[1], allow_vectorized));
-          child = std::make_unique<SortMergeJoinOp>(
-              std::move(left), std::move(right), join.equi_keys(),
-              CloneExecutablePredicates(join.conditions()));
-          presorted = true;
-        }
-      }
-      if (!child) {
-        SOFTDB_ASSIGN_OR_RETURN(child, Plan(*node.children()[0], allow_vectorized));
-      }
+      SOFTDB_ASSIGN_OR_RETURN(OperatorPtr child,
+                              Plan(*node.children()[0], under_limit));
       // Sort elision: a single ascending key over the column an index scan
       // already delivers in order.
-      if (!presorted && sort.keys().size() == 1 &&
-          sort.keys()[0].ascending &&
+      bool presorted = false;
+      if (sort.keys().size() == 1 && sort.keys()[0].ascending &&
           node.children()[0]->kind() == PlanKind::kScan &&
           sort.keys()[0].expr->kind() == ExprKind::kColumnRef) {
         const auto& scan = static_cast<const ScanNode&>(*node.children()[0]);
         const auto& ref =
             static_cast<const ColumnRefExpr&>(*sort.keys()[0].expr);
         auto choice = ChooseAccessPath(scan);
-        if (choice.ok() && choice->index != nullptr && ref.bound() &&
-            choice->index->column() == ref.index()) {
-          presorted = true;
-        }
+        presorted = choice.ok() && choice->index != nullptr && ref.bound() &&
+                    choice->index->column() == ref.index();
       }
       std::vector<SortKey> keys;
       keys.reserve(sort.keys().size());
@@ -731,7 +591,7 @@ Result<OperatorPtr> PhysicalPlanner::Plan(const PlanNode& node,
       std::vector<OperatorPtr> children;
       children.reserve(node.children().size());
       for (const PlanPtr& c : node.children()) {
-        SOFTDB_ASSIGN_OR_RETURN(OperatorPtr op, Plan(*c, allow_vectorized));
+        SOFTDB_ASSIGN_OR_RETURN(OperatorPtr op, Plan(*c, under_limit));
         children.push_back(std::move(op));
       }
       return OperatorPtr(std::make_unique<UnionAllOp>(node.output_schema(),
@@ -739,10 +599,8 @@ Result<OperatorPtr> PhysicalPlanner::Plan(const PlanNode& node,
     }
     case PlanKind::kLimit: {
       const auto& limit = static_cast<const LimitNode&>(node);
-      // LIMIT may stop pulling early; batch subtrees read ahead and would
-      // skew ExecStats, so everything below stays on the row engine.
       SOFTDB_ASSIGN_OR_RETURN(OperatorPtr child,
-                              Plan(*node.children()[0], false));
+                              Plan(*node.children()[0], /*under_limit=*/true));
       return OperatorPtr(
           std::make_unique<LimitOp>(std::move(child), limit.limit()));
     }
@@ -751,18 +609,17 @@ Result<OperatorPtr> PhysicalPlanner::Plan(const PlanNode& node,
 }
 
 double PhysicalPlanner::EstimateCost(const PlanNode& node) const {
-  constexpr double kCpuPerRow = 0.001;  // Pages are the unit; cpu is cheap.
-  // Column-at-a-time evaluation amortizes dispatch over a batch; the
-  // operators the batch engine can lower get the cheaper rate.
-  constexpr double kCpuPerRowVectorized = 0.00025;
-  const double scan_cpu =
-      ctx_->use_vectorized ? kCpuPerRowVectorized : kCpuPerRow;
+  // Pages are the unit; cpu is cheap. Streaming operators evaluate a batch
+  // column-at-a-time; operators that materialize rows (aggregate, sort,
+  // nested loop) pay the per-row rate.
+  constexpr double kCpuPerRow = 0.00025;
+  constexpr double kCpuPerRowMaterialized = 0.001;
   switch (node.kind()) {
     case PlanKind::kScan: {
       const auto& scan = static_cast<const ScanNode&>(node);
       auto choice = ChooseAccessPath(scan);
       if (!choice.ok()) return 1.0;
-      double cpu = scan_cpu * estimator_->EstimateRows(node);
+      double cpu = kCpuPerRow * estimator_->EstimateRows(node);
       // Skip-aware sequential costing: blocks a zone map prunes cost no
       // predicate work. Pages stay fully charged (the simulated page model
       // reads every page of a sequential pass), so the saving shows up in
@@ -783,38 +640,31 @@ double PhysicalPlanner::EstimateCost(const PlanNode& node) const {
     }
     case PlanKind::kFilter:
     case PlanKind::kProject:
-      return EstimateCost(*node.children()[0]) +
-             scan_cpu * estimator_->EstimateRows(node);
     case PlanKind::kLimit:
-      // LIMIT subtrees run on the row engine (see Plan).
       return EstimateCost(*node.children()[0]) +
              kCpuPerRow * estimator_->EstimateRows(node);
     case PlanKind::kJoin: {
       const double build = estimator_->EstimateRows(*node.children()[1]);
       const double probe = estimator_->EstimateRows(*node.children()[0]);
       const auto& join = static_cast<const JoinNode&>(node);
-      double cpu;
-      if (!join.equi_keys().empty()) {
-        const double rate = (ctx_->use_vectorized &&
-                             !ctx_->prefer_sort_merge_join)
-                                ? kCpuPerRowVectorized
-                                : kCpuPerRow;
-        cpu = rate * (build * 2.0 + probe);
-      } else {
-        cpu = kCpuPerRow * build * probe;  // Nested loop.
-      }
+      const double cpu =
+          join.equi_keys().empty()
+              ? kCpuPerRowMaterialized * build * probe  // Nested loop.
+              : kCpuPerRow * (build * 2.0 + probe);
       return EstimateCost(*node.children()[0]) +
              EstimateCost(*node.children()[1]) + cpu;
     }
     case PlanKind::kAggregate:
       return EstimateCost(*node.children()[0]) +
-             kCpuPerRow * estimator_->EstimateRows(*node.children()[0]);
+             kCpuPerRowMaterialized *
+                 estimator_->EstimateRows(*node.children()[0]);
     case PlanKind::kSort: {
       const double rows =
           std::max(1.0, estimator_->EstimateRows(*node.children()[0]));
       const auto& sort = static_cast<const SortNode&>(node);
       // n log n comparisons, scaled by key count.
-      const double cpu = kCpuPerRow * rows * std::log2(rows + 1.0) *
+      const double cpu = kCpuPerRowMaterialized * rows *
+                         std::log2(rows + 1.0) *
                          static_cast<double>(sort.keys().size());
       return EstimateCost(*node.children()[0]) + cpu;
     }

@@ -4,7 +4,6 @@
 #include <map>
 #include <optional>
 
-#include "exec/batch_operators.h"
 #include "exec/operators.h"
 #include "exec/parallel_operators.h"
 #include "optimizer/cardinality.h"
@@ -43,33 +42,23 @@ class PhysicalPlanner {
   double EstimateCost(const PlanNode& node) const;
 
  private:
-  /// Recursive lowering. `allow_vectorized` is cleared under LIMIT nodes:
-  /// LIMIT may stop consuming early, and a batch subtree would read ahead
-  /// of the row engine, breaking ExecStats equivalence.
-  Result<OperatorPtr> Plan(const PlanNode& node, bool allow_vectorized) const;
-  Result<OperatorPtr> PlanScan(const ScanNode& scan) const;
+  /// Recursive lowering. `under_limit` is set below LIMIT nodes: LIMIT
+  /// stops pulling early, while a parallel operator drains its whole input
+  /// at Open, so those subtrees stay serial.
+  Result<OperatorPtr> Plan(const PlanNode& node, bool under_limit) const;
 
-  /// Lowers `node` to the batch engine when every operator in the subtree
-  /// supports it; returns a null pointer (OK status) otherwise, in which
-  /// case the caller plans `node` on the row engine and each child gets
-  /// its own chance at vectorization — subtrees are maximal, adapters
-  /// appear only at vectorized-subtree roots.
-  Result<BatchOperatorPtr> TryPlanBatch(const PlanNode& node) const;
-
-  /// Marks and lowers parallel-safe subtrees (ctx->num_threads > 1):
-  /// sequential-scan pipelines (scan → filter* → project?) become
-  /// ParallelPipelineOp, equi hash joins over two such pipelines become
-  /// ParallelHashJoinOp. Returns null when the subtree is not
-  /// parallel-safe (index access paths, unsatisfiable scans, nested
-  /// joins, non-equi joins, ...); the caller then falls back to the
-  /// serial batch or row engine. Never called under LIMIT — those
-  /// subtrees stay serial (allow_vectorized is cleared), which the
-  /// kParallelSafety plan invariant enforces.
+  /// Lowers parallel-safe subtrees (ctx->num_threads > 1): sequential-scan
+  /// pipelines (scan → filter* → project?) become ParallelPipelineOp, equi
+  /// hash joins over two such pipelines become ParallelHashJoinOp. Returns
+  /// null when the subtree is not parallel-safe (index access paths,
+  /// unsatisfiable scans, nested joins, non-equi joins, ...); the caller
+  /// then lowers the node serially, and each child gets its own chance.
+  /// Never called under LIMIT, which the kParallelSafety plan invariant
+  /// enforces.
   Result<OperatorPtr> TryPlanParallel(const PlanNode& node) const;
 
   /// Builds the pipeline spec for a parallel-safe scan chain, or nullopt.
-  /// `allow_project`: projections are fine at a pipeline root but not
-  /// under a join (mirrors TryPlanBatch's join-child restriction).
+  /// `allow_project`: a projection may only be the pipeline's last stage.
   Result<std::optional<PipelineSpec>> TryBuildPipelineSpec(
       const PlanNode& node, bool allow_project) const;
 
@@ -77,12 +66,12 @@ class PhysicalPlanner {
   /// envelope provably contradicts the scan's predicate conjunction. Null
   /// when zone maps are disabled, unarmed, inapplicable, or the scan's
   /// predicates are not statically error-free (skipping a block must never
-  /// skip a runtime type error the row engine would have raised).
+  /// skip a runtime type error evaluation would have raised).
   ///
-  /// Memoized per ScanNode: planning may lower the same scan several times
-  /// (parallel attempt → batch attempt → row fallback), and the SC-use
-  /// recording and skip decisions must happen exactly once per planning so
-  /// every lowering shares one consistent snapshot.
+  /// Memoized per ScanNode: planning may visit the same scan twice
+  /// (parallel attempt, then serial lowering), and the SC-use recording
+  /// and skip decisions must happen exactly once per planning so every
+  /// lowering shares one consistent snapshot.
   ZoneMapSkips ZoneMapSkipsFor(const ScanNode& scan, const Table* table) const;
   ZoneMapSkips ComputeZoneMapSkips(const ScanNode& scan,
                                    const Table* table) const;

@@ -120,10 +120,19 @@ Result<PlanPtr> Binder::BindSelect(const SelectStmt& stmt) {
     branches.push_back(std::move(branch));
     next = next->union_next.get();
   }
-  const std::size_t arity = branches[0]->output_schema().NumColumns();
+  // Branches pass their batches straight through the union, so they must
+  // agree on arity and on every column's type.
+  const Schema& first_schema = branches[0]->output_schema();
   for (const PlanPtr& b : branches) {
-    if (b->output_schema().NumColumns() != arity) {
+    if (b->output_schema().NumColumns() != first_schema.NumColumns()) {
       return Status::BindError("UNION ALL branches have different arity");
+    }
+    for (ColumnIdx c = 0; c < first_schema.NumColumns(); ++c) {
+      if (b->output_schema().Column(c).type != first_schema.Column(c).type) {
+        return Status::BindError(
+            "UNION ALL branches have different types in column " +
+            first_schema.Column(c).name);
+      }
     }
   }
   return PlanPtr(std::make_unique<UnionAllNode>(

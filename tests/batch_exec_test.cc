@@ -1,7 +1,8 @@
-// Vectorized batch engine tests: the batch path must be byte-identical to
-// the row path — same rows, same ExecStats — across tombstones, §4.2
-// runtime-parameterized scans, and hash-join result sets larger than one
-// batch. Plus direct ColumnBatch unit coverage.
+// Batch executor tests: answers must match the reference evaluator
+// (tests/reference_eval.h) across tombstones, §4.2 runtime-parameterized
+// scans, index scans and hash-join result sets larger than one batch, with
+// the exact ExecStats each shape implies. Plus direct ColumnBatch unit
+// coverage.
 
 #include <gtest/gtest.h>
 
@@ -10,57 +11,23 @@
 
 #include "engine/softdb.h"
 #include "exec/column_batch.h"
+#include "reference_eval.h"
 
 namespace softdb {
 namespace {
 
 class BatchExecTest : public ::testing::Test {
  protected:
-  // Runs `sql` on the row engine and the batch engine; asserts identical
-  // rows (type, nullness, rendering) and identical ExecStats, then returns
-  // the batch-engine result for further assertions.
+  // Runs `sql` and checks the answer (rows, order where defined, value
+  // types) against the reference evaluator.
   QueryResult RunBoth(const std::string& sql) {
-    db_.options().use_vectorized = false;
     db_.plan_cache().Clear();
-    auto row_result = db_.Execute(sql);
-    EXPECT_TRUE(row_result.ok())
-        << sql << " -> " << row_result.status().ToString();
-
-    db_.options().use_vectorized = true;
-    db_.plan_cache().Clear();
-    auto batch_result = db_.Execute(sql);
-    EXPECT_TRUE(batch_result.ok())
-        << sql << " -> " << batch_result.status().ToString();
-    if (!row_result.ok() || !batch_result.ok()) return QueryResult{};
-
-    EXPECT_EQ(row_result->rows.NumRows(), batch_result->rows.NumRows())
-        << sql;
-    if (row_result->rows.NumRows() == batch_result->rows.NumRows()) {
-      for (std::size_t i = 0; i < row_result->rows.NumRows(); ++i) {
-        const auto& rr = row_result->rows.rows[i];
-        const auto& br = batch_result->rows.rows[i];
-        EXPECT_EQ(rr.size(), br.size()) << sql << " row " << i;
-        if (rr.size() != br.size()) break;
-        for (std::size_t c = 0; c < rr.size(); ++c) {
-          EXPECT_EQ(rr[c].type(), br[c].type())
-              << sql << " row " << i << " col " << c;
-          EXPECT_EQ(rr[c].is_null(), br[c].is_null())
-              << sql << " row " << i << " col " << c;
-          EXPECT_EQ(rr[c].ToString(), br[c].ToString())
-              << sql << " row " << i << " col " << c;
-        }
-      }
-    }
-    const ExecStats& rs = row_result->exec_stats;
-    const ExecStats& bs = batch_result->exec_stats;
-    EXPECT_EQ(rs.rows_scanned, bs.rows_scanned) << sql;
-    EXPECT_EQ(rs.rows_emitted, bs.rows_emitted) << sql;
-    EXPECT_EQ(rs.pages_read, bs.pages_read) << sql;
-    EXPECT_EQ(rs.rows_output, bs.rows_output) << sql;
-    EXPECT_EQ(rs.index_lookups, bs.index_lookups) << sql;
-    EXPECT_EQ(rs.rows_joined, bs.rows_joined) << sql;
-    EXPECT_EQ(rs.runtime_param_skips, bs.runtime_param_skips) << sql;
-    return *std::move(batch_result);
+    auto result = db_.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+    if (!result.ok()) return QueryResult{};
+    reference::ExpectMatchesReference(sql, db_.catalog(), result->rows);
+    EXPECT_EQ(result->exec_stats.rows_output, result->rows.NumRows()) << sql;
+    return *std::move(result);
   }
 
   SoftDb db_;
@@ -69,7 +36,7 @@ class BatchExecTest : public ::testing::Test {
 TEST_F(BatchExecTest, MultiBatchScanWithTombstones) {
   // > 2 batches of rows, then punch tombstone holes so batch boundaries
   // land inside deleted ranges: the selection vector must skip dead slots
-  // exactly as the row scan does.
+  // exactly.
   ASSERT_TRUE(
       db_.Execute("CREATE TABLE big (k BIGINT NOT NULL, v BIGINT)").ok());
   for (int i = 0; i < 3000; ++i) {
@@ -99,14 +66,14 @@ TEST_F(BatchExecTest, RuntimeParamSkipAndContradictionMatchRowEngine) {
   ASSERT_TRUE(db_.Execute("CREATE INDEX iv ON t (v)").ok());
   ASSERT_TRUE(db_.Execute("ANALYZE t").ok());
 
-  // Tautology: v <= 10000 covers the whole domain — skipped at Open on
-  // both engines, counted identically.
+  // Tautology: v <= 10000 covers the whole domain — skipped at Open and
+  // counted.
   auto taut =
       RunBoth("SELECT COUNT(*) AS n FROM t WHERE v <= 10000 AND p >= 0");
   EXPECT_EQ(taut.rows.rows[0][0].AsInt64(), 2000);
   EXPECT_GE(taut.exec_stats.runtime_param_skips, 1u);
 
-  // Contradiction: provably empty at Open — zero pages on both engines.
+  // Contradiction: provably empty at Open — zero pages.
   auto contra = RunBoth("SELECT * FROM t WHERE v > 10000 AND p >= 0");
   EXPECT_EQ(contra.rows.NumRows(), 0u);
   EXPECT_EQ(contra.exec_stats.pages_read, 0u);
@@ -151,25 +118,21 @@ TEST_F(BatchExecTest, HashJoinResultLargerThanOneBatch) {
   EXPECT_EQ(all.rows.NumRows(), 3000u);
   EXPECT_EQ(all.exec_stats.rows_joined, 3000u);
 
-  // Residual predicate applied after the equi-match, same on both engines.
+  // Residual predicate applied after the equi-match; rows_joined counts
+  // pairs before it.
   auto filtered =
       RunBoth("SELECT lk, rn FROM l JOIN r ON lk = rk WHERE ln + rn < 500");
   EXPECT_EQ(filtered.rows.NumRows(), 501u);
   EXPECT_EQ(filtered.exec_stats.rows_joined, 3000u);
 }
 
-TEST_F(BatchExecTest, ExplainAnnotatesVectorizedExecution) {
+TEST_F(BatchExecTest, ExplainOmitsEngineLine) {
+  // One executor: EXPLAIN reports the plan, not an engine choice.
   ASSERT_TRUE(db_.Execute("CREATE TABLE e (x BIGINT)").ok());
-  db_.options().use_vectorized = true;
-  auto on = db_.Explain("SELECT * FROM e WHERE x > 0");
-  ASSERT_TRUE(on.ok());
-  EXPECT_NE(on->find("vectorized"), std::string::npos);
-
-  db_.options().use_vectorized = false;
-  db_.plan_cache().Clear();
-  auto off = db_.Explain("SELECT * FROM e WHERE x > 0");
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(off->find("vectorized"), std::string::npos);
+  auto explain = db_.Explain("SELECT * FROM e WHERE x > 0");
+  ASSERT_TRUE(explain.ok());
+  EXPECT_EQ(explain->find("execution:"), std::string::npos);
+  EXPECT_EQ(explain->find("vectorized"), std::string::npos);
 }
 
 TEST(ColumnBatchTest, OwnedColumnsRoundTripValues) {

@@ -207,6 +207,46 @@ TEST_F(CertificateFixture, ImplicationPruneEmitsValidCertificate) {
   ExpectAllOk(certs);
 }
 
+TEST_F(CertificateFixture, TwoSidedCheckPremisesCertify) {
+  // `lo <= x AND x <= hi` gives the check source two half-open facts on
+  // one column. A premise recording either half, or their intersection,
+  // must prove against the intersection of everything the source states.
+  ASSERT_TRUE(db_.Execute("CREATE TABLE banded (x BIGINT NOT NULL, "
+                          "CHECK (x >= 10 AND x <= 20))")
+                  .ok());
+  for (int v = 10; v <= 20; ++v) {
+    ASSERT_TRUE(
+        db_.Execute("INSERT INTO banded VALUES (" + std::to_string(v) + ")")
+            .ok());
+  }
+  auto certs = Harvest("SELECT * FROM banded WHERE x <= 30 AND x >= 5");
+  const RewriteCertificate* cert =
+      FindKind(certs, CertificateKind::kImplicationPrune);
+  ASSERT_NE(cert, nullptr);
+  std::set<std::string> sources;
+  std::size_t interval_premises = 0;
+  for (const CertificatePremise& p : cert->premises) {
+    if (p.kind == CertificatePremise::Kind::kIntervalFact) {
+      ++interval_premises;
+      sources.insert(p.source);
+    }
+  }
+  EXPECT_GE(interval_premises, 2u);
+  ASSERT_EQ(sources.size(), 1u);  // Both halves come from the one CHECK.
+  EXPECT_EQ(sources.begin()->rfind("check:", 0), 0u);
+  ExpectAllOk(certs);
+
+  // A recorded half stronger than the intersection is still rejected.
+  RewriteCertificate forged = cert->Clone();
+  for (CertificatePremise& p : forged.premises) {
+    if (p.kind == CertificatePremise::Kind::kIntervalFact) {
+      p.interval = Interval::Range(12, 18);
+      break;
+    }
+  }
+  EXPECT_EQ(Checker().Check(forged).verdict, CertificateVerdict::kInvalid);
+}
+
 TEST_F(CertificateFixture, FkJoinEliminationEmitsValidCertificate) {
   auto certs = Harvest(
       "SELECT o_orderkey, o_totalprice FROM orders "

@@ -60,7 +60,6 @@ class ConcurrencyStressTest : public ::testing::Test {
     ASSERT_TRUE(db_.scs().Add(std::move(tol_sc), db_.catalog()).ok());
 
     db_.options().enable_predicate_introduction = true;
-    db_.options().use_vectorized = true;
   }
 
   SoftDb db_;
@@ -446,7 +445,9 @@ TEST_F(ConcurrencyStressTest, SessionsRaceWritersAndRepairChurn) {
     for (int iter = 0; iter < kWriterRounds; ++iter) {
       ASSERT_TRUE(db_.scs().OnInsert(db_.catalog(), "r", violating).ok());
       ASSERT_TRUE(db_.scs().OnInsert(db_.catalog(), "r", complying).ok());
-      if (iter % 3 == 0) ASSERT_TRUE(db_.RunMaintenance().ok());
+      if (iter % 3 == 0) {
+        ASSERT_TRUE(db_.RunMaintenance().ok());
+      }
       if (iter % 5 == 0) {
         ASSERT_TRUE(db_.scs().VerifyAll(db_.catalog()).ok());
       }

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "common/rng.h"
 #include "engine/softdb.h"
 
 namespace softdb {
@@ -176,6 +180,13 @@ TEST_F(ExecTest, UnionAll) {
   auto r = Run("SELECT e_name FROM emp WHERE e_dept = 1 "
                "UNION ALL SELECT e_name FROM emp WHERE e_dept = 2");
   EXPECT_EQ(r.rows.NumRows(), 5u);
+  // Branches pass through the union unchanged, so their column types must
+  // agree.
+  auto mixed = db_.Execute("SELECT e_name FROM emp UNION ALL "
+                           "SELECT e_salary FROM emp");
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_NE(mixed.status().ToString().find("different types"),
+            std::string::npos);
 }
 
 TEST_F(ExecTest, UpdateThenRead) {
@@ -258,6 +269,80 @@ TEST_F(ExecTest, IndexScanMatchesSeqScan) {
   ASSERT_EQ(r.rows.NumRows(), 2u);
   EXPECT_EQ(r.rows.rows[0][0].AsString(), "ann");
   EXPECT_EQ(r.rows.rows[1][0].AsString(), "cat");
+}
+
+// ORDER BY on an equi join's key: skewed keys with duplicates on both
+// sides plus NULL keys, so ties and non-matching NULLs are both exercised.
+class JoinOrderTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Run("CREATE TABLE l (k BIGINT, lv BIGINT)");
+    Run("CREATE TABLE r (k BIGINT, rv BIGINT)");
+    Rng rng(17);
+    for (int i = 0; i < 300; ++i) {
+      const std::int64_t k = rng.Uniform(0, 40);
+      ASSERT_TRUE(db_.InsertRow("l", {i % 23 == 0 ? Value::Null()
+                                                  : Value::Int64(k),
+                                      Value::Int64(i)})
+                      .ok());
+    }
+    for (int i = 0; i < 200; ++i) {
+      const std::int64_t k = rng.Uniform(0, 40);
+      ASSERT_TRUE(db_.InsertRow("r", {i % 31 == 0 ? Value::Null()
+                                                  : Value::Int64(k),
+                                      Value::Int64(i)})
+                      .ok());
+    }
+  }
+
+  QueryResult Run(const std::string& sql) {
+    auto result = db_.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+    return result.ok() ? *std::move(result) : QueryResult{};
+  }
+
+  static std::multiset<std::string> RowBag(const RowSet& rows) {
+    std::multiset<std::string> bag;
+    for (const auto& row : rows.rows) {
+      std::string image;
+      for (const Value& v : row) image += v.ToString() + "|";
+      bag.insert(std::move(image));
+    }
+    return bag;
+  }
+
+  // Asserts column 0 is ordered (ascending or descending) across rows.
+  static void ExpectOrdered(const RowSet& rows, bool ascending) {
+    for (std::size_t i = 1; i < rows.NumRows(); ++i) {
+      auto cmp = rows.rows[i - 1][0].Compare(rows.rows[i][0]);
+      ASSERT_TRUE(cmp.ok());
+      if (ascending) {
+        EXPECT_LE(*cmp, 0) << "row " << i;
+      } else {
+        EXPECT_GE(*cmp, 0) << "row " << i;
+      }
+    }
+  }
+
+  SoftDb db_;
+};
+
+TEST_F(JoinOrderTest, OrderByJoinKeyAscending) {
+  // Hash join plus a real sort: ordered output, and the same bag as the
+  // unordered join (NULL keys never match).
+  auto sorted =
+      Run("SELECT l.k, lv, rv FROM l JOIN r ON l.k = r.k ORDER BY l.k");
+  ASSERT_GT(sorted.rows.NumRows(), 0u);
+  ExpectOrdered(sorted.rows, /*ascending=*/true);
+  EXPECT_EQ(sorted.exec_stats.rows_sorted, sorted.rows.NumRows());
+  auto unsorted = Run("SELECT l.k, lv, rv FROM l JOIN r ON l.k = r.k");
+  EXPECT_EQ(RowBag(unsorted.rows), RowBag(sorted.rows));
+}
+
+TEST_F(JoinOrderTest, OrderByJoinKeyDescending) {
+  auto r = Run("SELECT l.k, lv FROM l JOIN r ON l.k = r.k ORDER BY l.k DESC");
+  ASSERT_GT(r.rows.NumRows(), 0u);
+  ExpectOrdered(r.rows, /*ascending=*/false);
 }
 
 }  // namespace

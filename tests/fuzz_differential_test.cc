@@ -1,9 +1,11 @@
-// Differential property test: random predicates executed through the full
+// Differential property test: random queries executed through the full
 // parse → bind → rewrite → plan → execute pipeline must return exactly the
-// rows that direct expression evaluation over the table returns — under
-// every combination of optimizer rules, with soft constraints registered
-// (twins must never change answers; absolute-SC rewrites must be
-// semantics-preserving).
+// rows the reference evaluator (tests/reference_eval.h: a row-at-a-time
+// interpreter over the bound, unrewritten plan) returns — under every
+// combination of optimizer rules, with soft constraints registered (twins
+// must never change answers; absolute-SC rewrites must be
+// semantics-preserving) — and the parallel engine must reproduce the
+// serial result and counters exactly.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -12,6 +14,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -26,6 +29,7 @@
 #include "constraints/linear_correlation_sc.h"
 #include "constraints/predicate_sc.h"
 #include "engine/softdb.h"
+#include "reference_eval.h"
 #include "sql/parser.h"
 
 namespace softdb {
@@ -165,24 +169,38 @@ class FuzzDifferential : public ::testing::TestWithParam<std::uint64_t> {
     }
   }
 
+  // Sum of RecordScUse attributions across the zone maps: planning is
+  // independent of execution, so every thread count must bill the maps
+  // identically.
+  std::uint64_t ZoneMapUses() {
+    std::uint64_t total = 0;
+    for (const SoftConstraint* sc : db_.scs().All()) {
+      if (sc->kind() == ScKind::kBlockZoneMap) {
+        total += db_.scs().UseCount(sc->name());
+      }
+    }
+    return total;
+  }
+
   // Re-runs `sql` on the morsel-driven parallel engine at 2 and 8 worker
   // threads (with a small morsel size so every scan splits into many
   // morsels) and asserts the output is bit-identical to the serial result:
   // same rows in the same order, the same ExecStats counters (`morsels`
   // excluded — it is an execution-strategy detail), and the same
   // RecordScUse attributions.
-  void ExpectParallelAgrees(const std::string& sql,
-                            const QueryResult& serial) {
-    const bool vectorized_before = db_.options().use_vectorized;
-    db_.options().use_vectorized = true;
+  void ExpectParallelAgrees(const std::string& sql, const QueryResult& serial,
+                            std::uint64_t serial_zone_map_uses) {
     db_.options().parallel_morsel_rows = 128;
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
       db_.options().num_threads = threads;
       db_.plan_cache().Clear();
+      const std::uint64_t zm_before = ZoneMapUses();
       auto par = db_.Execute(sql);
       ASSERT_TRUE(par.ok()) << sql << " @" << threads << " threads -> "
                             << par.status().ToString();
       const std::string label = std::to_string(threads) + " threads";
+      EXPECT_EQ(ZoneMapUses() - zm_before, serial_zone_map_uses)
+          << sql << " " << label;
       AssertRowsIdentical(serial.rows, par->rows, sql, label);
       const ExecStats& ss = serial.exec_stats;
       const ExecStats& ps = par->exec_stats;
@@ -198,7 +216,8 @@ class FuzzDifferential : public ::testing::TestWithParam<std::uint64_t> {
       EXPECT_EQ(ss.blocks_skipped, ps.blocks_skipped) << sql << " " << label;
       EXPECT_EQ(ss.blocks_total, ps.blocks_total) << sql << " " << label;
       // Certificates are emitted and checked at plan time, so the count is
-      // engine-independent — and every plan's certificates must prove.
+      // independent of execution — and every plan's certificates must
+      // prove.
       EXPECT_EQ(ss.certificates_checked, ps.certificates_checked)
           << sql << " " << label;
       EXPECT_EQ(ps.certificates_failed, 0u) << sql << " " << label;
@@ -206,82 +225,27 @@ class FuzzDifferential : public ::testing::TestWithParam<std::uint64_t> {
     }
     db_.options().num_threads = 1;
     db_.options().parallel_morsel_rows = 4096;
-    db_.options().use_vectorized = vectorized_before;
   }
 
-  // Asserts the row engine and the vectorized batch engine produce
-  // byte-identical answers AND identical ExecStats for `sql` under the
-  // currently configured optimizer rules.
-  // Sum of RecordScUse attributions across the zone maps: planning is
-  // engine-independent, so every engine must bill the maps identically.
-  std::uint64_t ZoneMapUses() {
-    std::uint64_t total = 0;
-    for (const SoftConstraint* sc : db_.scs().All()) {
-      if (sc->kind() == ScKind::kBlockZoneMap) {
-        total += db_.scs().UseCount(sc->name());
-      }
-    }
-    return total;
-  }
-
-  void ExpectEnginesAgree(const std::string& sql, std::size_t expected,
-                          int config) {
-    db_.options().use_vectorized = false;
+  // Runs `sql` serially under the currently configured optimizer rules,
+  // checks the answer against the reference evaluator (and, when given,
+  // its row count against `expected`), requires every certificate to
+  // prove, then checks the parallel engine against the serial run.
+  void ExpectMatchesReference(const std::string& sql, int config,
+                              std::optional<std::size_t> expected = {}) {
     db_.plan_cache().Clear();
-    const std::uint64_t zm_before_row = ZoneMapUses();
-    auto row_result = db_.Execute(sql);
-    ASSERT_TRUE(row_result.ok())
-        << sql << " -> " << row_result.status().ToString();
-    EXPECT_EQ(row_result->rows.NumRows(), expected)
-        << sql << " (config " << config << ")";
-    const std::uint64_t zm_row = ZoneMapUses() - zm_before_row;
-
-    db_.options().use_vectorized = true;
-    db_.plan_cache().Clear();
-    const std::uint64_t zm_before_batch = ZoneMapUses();
-    auto batch_result = db_.Execute(sql);
-    ASSERT_TRUE(batch_result.ok())
-        << sql << " -> " << batch_result.status().ToString();
-    EXPECT_EQ(ZoneMapUses() - zm_before_batch, zm_row) << sql;
-
-    const RowSet& r = row_result->rows;
-    const RowSet& b = batch_result->rows;
-    ASSERT_EQ(r.NumRows(), b.NumRows()) << sql << " (config " << config << ")";
-    for (std::size_t i = 0; i < r.NumRows(); ++i) {
-      ASSERT_EQ(r.rows[i].size(), b.rows[i].size()) << sql << " row " << i;
-      for (std::size_t c = 0; c < r.rows[i].size(); ++c) {
-        const Value& rv = r.rows[i][c];
-        const Value& bv = b.rows[i][c];
-        ASSERT_EQ(rv.type(), bv.type())
-            << sql << " row " << i << " col " << c;
-        ASSERT_EQ(rv.is_null(), bv.is_null())
-            << sql << " row " << i << " col " << c;
-        ASSERT_EQ(rv.ToString(), bv.ToString())
-            << sql << " row " << i << " col " << c;
-      }
+    const std::uint64_t zm_before = ZoneMapUses();
+    auto serial = db_.Execute(sql);
+    ASSERT_TRUE(serial.ok()) << sql << " -> " << serial.status().ToString();
+    const std::uint64_t zm_uses = ZoneMapUses() - zm_before;
+    if (expected.has_value()) {
+      EXPECT_EQ(serial->rows.NumRows(), *expected)
+          << sql << " (config " << config << ")";
     }
-
-    const ExecStats& rs = row_result->exec_stats;
-    const ExecStats& bs = batch_result->exec_stats;
-    EXPECT_EQ(rs.rows_scanned, bs.rows_scanned) << sql;
-    EXPECT_EQ(rs.rows_emitted, bs.rows_emitted) << sql;
-    EXPECT_EQ(rs.pages_read, bs.pages_read) << sql;
-    EXPECT_EQ(rs.rows_output, bs.rows_output) << sql;
-    EXPECT_EQ(rs.rows_sorted, bs.rows_sorted) << sql;
-    EXPECT_EQ(rs.index_lookups, bs.index_lookups) << sql;
-    EXPECT_EQ(rs.rows_joined, bs.rows_joined) << sql;
-    EXPECT_EQ(rs.runtime_param_skips, bs.runtime_param_skips) << sql;
-    EXPECT_EQ(rs.blocks_skipped, bs.blocks_skipped) << sql;
-    EXPECT_EQ(rs.blocks_total, bs.blocks_total) << sql;
-    // Plan-time certificate verdicts: identical counts across engines, and
-    // no fuzzed plan may carry a certificate that fails to prove itself.
-    EXPECT_EQ(rs.certificates_checked, bs.certificates_checked) << sql;
-    EXPECT_EQ(rs.certificates_failed, 0u) << sql;
-    EXPECT_EQ(bs.certificates_failed, 0u) << sql;
-
-    // The same query on the parallel engine must reproduce the serial
-    // batch result bit for bit at every thread count.
-    ExpectParallelAgrees(sql, *batch_result);
+    reference::ExpectMatchesReference(sql, db_.catalog(), serial->rows);
+    EXPECT_EQ(serial->exec_stats.rows_output, serial->rows.NumRows()) << sql;
+    EXPECT_EQ(serial->exec_stats.certificates_failed, 0u) << sql;
+    ExpectParallelAgrees(sql, *serial, zm_uses);
   }
 
   Rng rng_{0};
@@ -294,22 +258,22 @@ TEST_P(FuzzDifferential, PipelineMatchesDirectEvaluation) {
     const std::string sql = "SELECT * FROM t WHERE " + predicate;
     const std::size_t expected = ReferenceCount(predicate);
 
-    // Sweep rule configurations; answers must be invariant, and within each
-    // configuration the row and vectorized engines must agree exactly —
-    // both on the rows returned and on every ExecStats counter.
+    // Sweep rule configurations; answers must be invariant, match the
+    // reference, and the parallel engine must reproduce the serial run
+    // exactly — both the rows returned and every ExecStats counter.
     for (int config = 0; config < 4; ++config) {
       db_.options().enable_predicate_introduction = (config & 1) != 0;
       db_.options().enable_twinning = (config & 2) != 0;
       db_.options().use_twins_in_estimation = (config & 2) != 0;
-      db_.options().prefer_sort_merge_join = (config & 1) != 0;
-      ExpectEnginesAgree(sql, expected, config);
+      ExpectMatchesReference(sql, config, expected);
     }
   }
 }
 
-// Joins, projections with expressions, ORDER BY and LIMIT must also agree
-// between engines (joins/projections vectorize; ORDER BY falls back at the
-// Sort; LIMIT forces the whole subtree onto the row engine).
+// Joins (equi and non-equi), projections with expressions, GROUP BY,
+// UNION ALL, ORDER BY and LIMIT (over a scan and over a join) must match
+// the reference, and the parallel engine must reproduce the serial run
+// (LIMIT keeps its subtree serial).
 TEST_P(FuzzDifferential, JoinsAndProjectionsMatchAcrossEngines) {
   ASSERT_TRUE(db_.Execute("CREATE TABLE s (k BIGINT NOT NULL, w DOUBLE, "
                           "tag VARCHAR)")
@@ -331,59 +295,20 @@ TEST_P(FuzzDifferential, JoinsAndProjectionsMatchAcrossEngines) {
       "SELECT a, w FROM t JOIN s ON b = k",
       "SELECT a, b FROM t WHERE " + RandomPredicate() + " ORDER BY a",
       "SELECT a FROM t WHERE " + RandomPredicate() + " LIMIT 7",
+      "SELECT e, COUNT(*), SUM(a), MIN(c), MAX(d), AVG(b) FROM t WHERE " +
+          RandomPredicate() + " GROUP BY e",
+      "SELECT COUNT(b), SUM(c) FROM t WHERE " + RandomPredicate(),
+      "SELECT a, b FROM t WHERE " + RandomPredicate() +
+          " UNION ALL SELECT a, b FROM t WHERE " + RandomPredicate(),
+      "SELECT a, k, w FROM t JOIN s ON a < k - 90 WHERE a < 30 AND " +
+          RandomPredicate(),
+      "SELECT a, k FROM t JOIN s ON a = k WHERE " + RandomPredicate() +
+          " LIMIT 11",
   };
   for (const std::string& sql : queries) {
     for (int config = 0; config < 2; ++config) {
       db_.options().enable_predicate_introduction = config != 0;
-      db_.options().prefer_sort_merge_join = config != 0;
-
-      db_.options().use_vectorized = false;
-      db_.plan_cache().Clear();
-      auto row_result = db_.Execute(sql);
-      ASSERT_TRUE(row_result.ok())
-          << sql << " -> " << row_result.status().ToString();
-
-      db_.options().use_vectorized = true;
-      db_.plan_cache().Clear();
-      auto batch_result = db_.Execute(sql);
-      ASSERT_TRUE(batch_result.ok())
-          << sql << " -> " << batch_result.status().ToString();
-
-      ASSERT_EQ(row_result->rows.NumRows(), batch_result->rows.NumRows())
-          << sql;
-      for (std::size_t i = 0; i < row_result->rows.NumRows(); ++i) {
-        const auto& rr = row_result->rows.rows[i];
-        const auto& br = batch_result->rows.rows[i];
-        ASSERT_EQ(rr.size(), br.size()) << sql << " row " << i;
-        for (std::size_t c = 0; c < rr.size(); ++c) {
-          ASSERT_EQ(rr[c].type(), br[c].type())
-              << sql << " row " << i << " col " << c;
-          ASSERT_EQ(rr[c].is_null(), br[c].is_null())
-              << sql << " row " << i << " col " << c;
-          ASSERT_EQ(rr[c].ToString(), br[c].ToString())
-              << sql << " row " << i << " col " << c;
-        }
-      }
-      const ExecStats& rs = row_result->exec_stats;
-      const ExecStats& bs = batch_result->exec_stats;
-      EXPECT_EQ(rs.rows_scanned, bs.rows_scanned) << sql;
-      EXPECT_EQ(rs.rows_emitted, bs.rows_emitted) << sql;
-      EXPECT_EQ(rs.pages_read, bs.pages_read) << sql;
-      EXPECT_EQ(rs.rows_output, bs.rows_output) << sql;
-      EXPECT_EQ(rs.rows_sorted, bs.rows_sorted) << sql;
-      EXPECT_EQ(rs.index_lookups, bs.index_lookups) << sql;
-      EXPECT_EQ(rs.rows_joined, bs.rows_joined) << sql;
-      EXPECT_EQ(rs.runtime_param_skips, bs.runtime_param_skips) << sql;
-      EXPECT_EQ(rs.blocks_skipped, bs.blocks_skipped) << sql;
-      EXPECT_EQ(rs.blocks_total, bs.blocks_total) << sql;
-      EXPECT_EQ(rs.certificates_checked, bs.certificates_checked) << sql;
-      EXPECT_EQ(rs.certificates_failed, 0u) << sql;
-      EXPECT_EQ(bs.certificates_failed, 0u) << sql;
-
-      // Joins, projections, ORDER BY over a parallel child, and LIMIT
-      // (which must force the subtree serial) all have to reproduce the
-      // serial result exactly at 2 and 8 threads.
-      ExpectParallelAgrees(sql, *batch_result);
+      ExpectMatchesReference(sql, config);
     }
   }
 }

@@ -13,8 +13,8 @@
 #include "analysis/plan_verifier.h"
 #include "constraints/column_offset_sc.h"
 #include "engine/softdb.h"
-#include "exec/batch_operators.h"
 #include "exec/operators.h"
+#include "exec/parallel_operators.h"
 #include "plan/expr.h"
 #include "plan/logical_plan.h"
 
@@ -313,28 +313,40 @@ TEST_F(PlanVerifierPhysicalTest, RuntimeParamColumnMismatchRejected) {
                    Invariant::kRuntimeParams));
 }
 
-TEST_F(PlanVerifierPhysicalTest, BatchSubtreeUnderLimitRejected) {
-  // The PR 1 fallback rule: LIMIT subtrees stay on the row engine.
-  auto batch_scan = std::make_unique<BatchSeqScanOp>(
-      table_, table_->schema(), std::vector<Predicate>{});
-  auto adapter = std::make_unique<BatchAdapterOp>(std::move(batch_scan));
-  LimitOp limit(std::move(adapter), 5);
+TEST_F(PlanVerifierPhysicalTest, ParallelPipelineUnderLimitRejected) {
+  // LIMIT stops pulling early while a parallel operator drains its whole
+  // input at Open, so LIMIT subtrees must stay serial.
+  PipelineSpec spec;
+  spec.table = table_;
+  spec.scan_schema = table_->schema();
+  LimitOp limit(std::make_unique<ParallelPipelineOp>(std::move(spec), 64), 5);
 
   PlanVerifier verifier;
   auto violations = verifier.CheckPhysical(limit, "physical-planning");
   const PlanViolation* v =
-      FindViolation(violations, Invariant::kLimitRowEngineOnly);
+      FindViolation(violations, Invariant::kParallelSafety);
   ASSERT_NE(v, nullptr);
-  EXPECT_NE(v->ToString().find("limit-row-engine-only"), std::string::npos);
+  EXPECT_NE(v->ToString().find("parallel-safety"), std::string::npos);
   EXPECT_NE(v->node_path.find("Limit"), std::string::npos);
 }
 
 TEST_F(PlanVerifierPhysicalTest, BatchSubtreeWithoutLimitAccepted) {
-  auto batch_scan = std::make_unique<BatchSeqScanOp>(
-      table_, table_->schema(), std::vector<Predicate>{});
-  BatchAdapterOp adapter(std::move(batch_scan));
+  PipelineSpec spec;
+  spec.table = table_;
+  spec.scan_schema = table_->schema();
+  ParallelPipelineOp pipeline(std::move(spec), 64);
+  FilterOp filter(std::make_unique<SeqScanOp>(table_, table_->schema(),
+                                              std::vector<Predicate>{}),
+                  {});
+  LimitOp limit(std::make_unique<SortOp>(
+                    std::make_unique<SeqScanOp>(table_, table_->schema(),
+                                                std::vector<Predicate>{}),
+                    std::vector<SortKey>{}, /*presorted=*/false),
+                5);
   PlanVerifier verifier;
-  EXPECT_TRUE(verifier.CheckPhysical(adapter, "physical-planning").empty());
+  EXPECT_TRUE(verifier.CheckPhysical(pipeline, "physical-planning").empty());
+  EXPECT_TRUE(verifier.CheckPhysical(filter, "physical-planning").empty());
+  EXPECT_TRUE(verifier.CheckPhysical(limit, "physical-planning").empty());
 }
 
 // End-to-end: with verification on (the default), every query in a

@@ -247,13 +247,12 @@ TEST_F(RobustnessTest, MidQueryCancellationSurfacesBetweenRows) {
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
 
-TEST_F(RobustnessTest, MidQueryDeadlineSurfacesOnRowEngine) {
+TEST_F(RobustnessTest, MidQueryDeadlineSurfacesDuringBatchDrain) {
   SoftDb db;
-  db.options().use_vectorized = false;
-  MakeTable(db, 4000);  // Enough rows to cross the interrupt stride.
+  MakeTable(db, 4000);  // Several batches of output.
   db.options().default_deadline_ms = 5;
-  // Burn past the 5ms budget partway through the drain; the strided clock
-  // check notices within one stride.
+  // Burn past the 5ms budget partway through the first batch's rows; the
+  // drain's clock check at the next batch boundary notices.
   FP().Enable("exec.drain", EveryNth(100));
   FP().SetAction("exec.drain", [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -222,7 +222,6 @@ class ParallelExecTest : public ::testing::Test {
     }
     ASSERT_TRUE(db_.Execute("ANALYZE t").ok());
     ASSERT_TRUE(db_.Execute("ANALYZE s").ok());
-    db_.options().use_vectorized = true;
     db_.options().verify_plans = true;
   }
 
@@ -295,7 +294,7 @@ TEST_F(ParallelExecTest, MergeOrderIsDeterministicAndSerialIdentical) {
 
 TEST_F(ParallelExecTest, LimitSubtreeStaysSerial) {
   const QueryResult limited = Run("SELECT a FROM t WHERE a < 50 LIMIT 5", 8);
-  // The planner must route LIMIT subtrees to the serial row engine; the
+  // The planner must keep LIMIT subtrees serial; the
   // kParallelSafety invariant (verify_plans is on) double-checks it.
   EXPECT_EQ(limited.exec_stats.morsels, 0u);
   EXPECT_EQ(limited.rows.NumRows(), 5u);

@@ -505,7 +505,7 @@ TEST_F(ServerTest, DrainRejectsQueuedAndFinishesInFlight) {
   auto session = server.OpenSession();
   ASSERT_TRUE(session.ok());
 
-  // Block the worker mid-statement at the row-engine chaos site.
+  // Block the worker mid-statement at the drain chaos site.
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool gate_open = false;
