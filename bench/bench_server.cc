@@ -3,12 +3,14 @@
 // Closed-loop clients drive one shared engine through SessionManager at 1,
 // 4 and 16 sessions, reporting per-statement throughput and p50/p99. A
 // second run overloads a deliberately tiny admission queue (16 sessions,
-// 2 workers, queue depth 8, retries off) and checks the two properties the
+// 2 execution slots, queue depth 8, retries off) and checks the two properties the
 // dispatcher sells: every failure is a typed kResourceExhausted admission
 // rejection (never a partial execution), and the p99 of *admitted* work
 // stays a bounded multiple of the uncontended p99 — the queue bound, not
 // the offered load, caps how much latency an admitted statement can absorb.
-// CI gates both via BENCH_SERVER.json (--json).
+// CI gates both via BENCH_SERVER.json (--json). The JSON also records the
+// serving handoff: 1-session probes run through a Session and directly
+// through SoftDb::Execute, interleaved, and the difference of their p50s.
 
 #include <benchmark/benchmark.h>
 
@@ -132,6 +134,58 @@ LoadResult RunClosedLoop(SoftDb* db, std::size_t sessions,
   return out;
 }
 
+struct HandoffResult {
+  double served_p50_ms = 0;
+  double direct_p50_ms = 0;
+};
+
+/// The serving layer's own cost: one client thread runs the 1-session
+/// probes both through a Session and straight through SoftDb::Execute,
+/// interleaved statement by statement (alternating which goes first) on
+/// warm plan-cache entries. Pairing the two sides this way cancels the
+/// warm-up and host drift that separate closed loops of 150 statements
+/// are dominated by.
+HandoffResult MeasureHandoff(SoftDb* db) {
+  constexpr int kRounds = 20;
+  SessionManager server(db, ServerOptions{});
+  auto session = server.OpenSession("handoff");
+  if (!session.ok()) std::abort();
+  std::vector<double> served_ms, direct_ms;
+  auto timed = [](std::vector<double>* out, auto&& run) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Result<QueryResult> r = run();
+    const auto t1 = std::chrono::steady_clock::now();
+    if (!r.ok()) {
+      std::fprintf(stderr, "handoff probe failed: %s\n",
+                   r.status().ToString().c_str());
+      std::abort();
+    }
+    if (out != nullptr) {
+      out->push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+  };
+  for (int round = 0; round <= kRounds; ++round) {
+    // Round 0 only warms the plan cache.
+    std::vector<double>* served = round == 0 ? nullptr : &served_ms;
+    std::vector<double>* direct = round == 0 ? nullptr : &direct_ms;
+    for (int i = 0; i < kStatementsPerClient; ++i) {
+      const std::string sql = ProbeSql(i);
+      auto via_session = [&] { return (*session)->Execute(sql); };
+      auto via_engine = [&] { return db->Execute(sql); };
+      if (i % 2 == 0) {
+        timed(served, via_session);
+        timed(direct, via_engine);
+      } else {
+        timed(direct, via_engine);
+        timed(served, via_session);
+      }
+    }
+  }
+  if (!server.Drain().ok()) std::abort();
+  return {Percentile(served_ms, 0.50), Percentile(direct_ms, 0.50)};
+}
+
 void PrintAndEmit(bool emit_json) {
   auto db = MakeServedDb();
 
@@ -163,8 +217,14 @@ void PrintAndEmit(bool emit_json) {
     }
   }
   const double uncontended_p99 = sweep.front().p99_ms;
+  const HandoffResult handoff = MeasureHandoff(db.get());
+  const double handoff_us =
+      (handoff.served_p50_ms - handoff.direct_p50_ms) * 1000.0;
+  std::printf("1 session, warm: served p50 %.4f ms, direct p50 %.4f ms, "
+              "handoff %.2f us\n",
+              handoff.served_p50_ms, handoff.direct_p50_ms, handoff_us);
 
-  Banner("Overload: 16 sessions, 2 workers, queue depth 8, retries off");
+  Banner("Overload: 16 sessions, 2 slots, queue depth 8, retries off");
   ServerOptions tight;
   tight.worker_threads = 2;
   tight.max_queue_depth = 8;
@@ -181,7 +241,7 @@ void PrintAndEmit(bool emit_json) {
 
   // The dispatcher's overload contract, asserted loudly: failures are
   // typed rejections only, and admitted-tail latency is bounded by the
-  // queue (depth/workers service times of wait), not by offered load.
+  // queue (depth/slots service times of wait), not by offered load.
   // 40x leaves generous headroom over the ~5x the queue math predicts.
   if (overload.untyped != 0) {
     std::fprintf(stderr, "overload produced untyped failures\n");
@@ -198,6 +258,8 @@ void PrintAndEmit(bool emit_json) {
   if (!emit_json) return;
   JsonWriter j;
   j.Add("bench", "SERVER");
+  j.Add("host_threads",
+        static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   j.Add("table_rows", kTableRows);
   j.Add("statements_per_session", kStatementsPerClient);
   for (const LoadResult& r : sweep) {
@@ -208,6 +270,9 @@ void PrintAndEmit(bool emit_json) {
     j.Add(tag + "_ok", r.ok);
     j.Add(tag + "_rejected", r.rejected);
   }
+  j.Add("s1_served_warm_p50_ms", handoff.served_p50_ms);
+  j.Add("s1_direct_p50_ms", handoff.direct_p50_ms);
+  j.Add("s1_handoff_us", handoff_us);
   j.Add("overload_sessions", static_cast<std::uint64_t>(overload.sessions));
   j.Add("overload_qps", overload.qps);
   j.Add("overload_p50_ms", overload.p50_ms);

@@ -67,7 +67,9 @@ Result<std::int64_t> Date::Parse(const std::string& text) {
 std::string Date::ToString(std::int64_t days) {
   int y, m, d;
   CivilFromDays(days, &y, &m, &d);
-  char buf[16];
+  // Room for three full ints ("-2147483648" is 11 chars), two dashes and
+  // the terminator, so the compiler can prove the output is never cut.
+  char buf[3 * 11 + 2 + 1];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
   return buf;
 }

@@ -62,26 +62,46 @@ std::shared_ptr<CachedPlan> PlanCache::Put(std::shared_ptr<CachedPlan> entry) {
   // Injected insert failure degrades gracefully: the caller still gets a
   // runnable package, it just is not cached for the next session.
   if (SOFTDB_FAILPOINT_FIRED("plan_cache.insert")) return entry;
+  // Declared before the lock so the displaced packages are freed after it
+  // is released.
+  std::shared_ptr<CachedPlan> replaced, evicted;
   std::lock_guard<std::mutex> lk(mu_);
-  entries_[entry->sql] = entry;
+  auto [slot, inserted] = index_.try_emplace(entry->sql);
+  if (!inserted) {
+    replaced = std::move(*slot->second);
+    lru_.erase(slot->second);
+  }
+  lru_.push_front(entry);
+  slot->second = lru_.begin();
+  if (lru_.size() > kCapacity) {
+    evicted = lru_.back();
+    EraseLocked(std::prev(lru_.end()));
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
   return entry;
 }
 
 std::shared_ptr<CachedPlan> PlanCache::Get(const std::string& sql) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = entries_.find(sql);
-  if (it == entries_.end()) {
+  auto it = index_.find(sql);
+  if (it == index_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return *it->second;
+}
+
+void PlanCache::EraseLocked(Lru::iterator it) {
+  index_.erase((*it)->sql);
+  lru_.erase(it);
 }
 
 std::size_t PlanCache::OnScViolated(const std::string& sc_name) {
   std::lock_guard<std::mutex> lk(mu_);
   std::size_t flipped = 0;
-  for (auto& [_, entry] : entries_) {
+  for (const std::shared_ptr<CachedPlan>& entry : lru_) {
     if (entry->using_backup.load(std::memory_order_acquire)) continue;
     if (std::find(entry->used_scs.begin(), entry->used_scs.end(), sc_name) !=
         entry->used_scs.end()) {
@@ -99,8 +119,8 @@ std::size_t PlanCache::OnScViolated(const std::string& sc_name) {
 std::size_t PlanCache::OnTableDropped(const std::string& table) {
   std::lock_guard<std::mutex> lk(mu_);
   std::size_t evicted = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    CachedPlan& entry = *it->second;
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    const CachedPlan& entry = **it;
     // Entries recorded without table provenance are evicted conservatively.
     const bool reads_table =
         entry.tables.empty() ||
@@ -108,7 +128,7 @@ std::size_t PlanCache::OnTableDropped(const std::string& table) {
             entry.tables.end();
     if (reads_table) {
       // Sessions holding the shared_ptr from Get keep the plan alive.
-      it = entries_.erase(it);
+      EraseLocked(it++);
       ++evicted;
       invalidations_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -123,7 +143,7 @@ std::size_t PlanCache::Rearm(
     const std::vector<std::pair<std::string, std::uint64_t>>& active_epochs) {
   std::lock_guard<std::mutex> lk(mu_);
   std::size_t rearmed = 0;
-  for (auto& [_, entry] : entries_) {
+  for (const std::shared_ptr<CachedPlan>& entry : lru_) {
     if (!entry->using_backup.load(std::memory_order_acquire)) continue;
     const bool all_active = std::all_of(
         entry->used_scs.begin(), entry->used_scs.end(),
@@ -151,12 +171,13 @@ std::vector<std::pair<std::string, std::uint64_t>> PlanCache::ScEpochs(
 
 void PlanCache::Clear() {
   std::lock_guard<std::mutex> lk(mu_);
-  entries_.clear();
+  index_.clear();
+  lru_.clear();
 }
 
 std::size_t PlanCache::size() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return entries_.size();
+  return lru_.size();
 }
 
 }  // namespace softdb

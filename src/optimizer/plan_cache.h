@@ -3,10 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -62,15 +63,19 @@ struct CachedPlan {
 /// join-hole tables), for table-scoped cache invalidation.
 std::vector<std::string> CollectPlanTables(const PlanNode& plan);
 
-/// Keyed by SQL text. Subscribe `OnScViolated` to the ScRegistry's
-/// violation listener so overturned SCs flip dependent packages to their
-/// backup plan instead of producing wrong answers.
+/// Keyed by SQL text, bounded at kCapacity packages with least-recently
+/// used eviction. Subscribe `OnScViolated` to the ScRegistry's violation
+/// listener so overturned SCs flip dependent packages to their backup
+/// plan instead of producing wrong answers.
 ///
-/// Thread-safe: the entry map is mutex-guarded, entries are handed out as
-/// shared_ptr so a concurrent eviction (DROP TABLE) cannot free a plan
-/// another session is executing, and the counters are atomic.
+/// Thread-safe: the entries are mutex-guarded, entries are handed out as
+/// shared_ptr so a concurrent eviction (capacity or DROP TABLE) cannot
+/// free a plan another session is executing, and the counters are atomic.
 class PlanCache {
  public:
+  /// Packages kept before the least recently used one is evicted.
+  static constexpr std::size_t kCapacity = 4096;
+
   PlanCache() = default;
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -91,8 +96,9 @@ class PlanCache {
   /// sessions as soon as it is cached). Same failpoint behaviour as above.
   std::shared_ptr<CachedPlan> Put(std::shared_ptr<CachedPlan> entry);
 
-  /// Returns the entry or null; counts hit/miss. The shared_ptr keeps the
-  /// package alive across eviction — use it, don't re-Get.
+  /// Returns the entry or null; counts hit/miss. A hit becomes the most
+  /// recently used entry. The shared_ptr keeps the package alive across
+  /// eviction — use it, don't re-Get.
   std::shared_ptr<CachedPlan> Get(const std::string& sql);
 
   /// Flips every package depending on `sc_name` to its backup plan.
@@ -132,10 +138,21 @@ class PlanCache {
   std::uint64_t invalidations_avoided() const {
     return invalidations_avoided_.load(std::memory_order_relaxed);
   }
+  /// Packages dropped because the cache was full.
+  std::uint64_t evictions() const {
+    return evictions_.load(std::memory_order_relaxed);
+  }
 
  private:
-  mutable std::mutex mu_;  // Guards entries_.
-  std::map<std::string, std::shared_ptr<CachedPlan>> entries_;
+  using Lru = std::list<std::shared_ptr<CachedPlan>>;
+
+  /// Unlinks `it` from both structures. Requires mu_ held.
+  void EraseLocked(Lru::iterator it);
+
+  mutable std::mutex mu_;  // Guards lru_ and index_.
+  Lru lru_;                // Most recently used first.
+  std::unordered_map<std::string, Lru::iterator> index_;  // By entry->sql.
+  std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> invalidations_{0};

@@ -1,14 +1,13 @@
 #ifndef SOFTDB_SERVER_DISPATCHER_H_
 #define SOFTDB_SERVER_DISPATCHER_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/query_context.h"
@@ -21,8 +20,11 @@ namespace softdb {
 class Session;
 
 /// Admission-controlled statement dispatcher: a bounded priority queue in
-/// front of a fixed pool of serving workers, all executing against one
-/// shared SoftDb (DESIGN.md §15).
+/// front of a fixed number of execution slots, all executing against one
+/// shared SoftDb (DESIGN.md §15). Every admitted statement runs on the
+/// thread that called Execute while it holds a slot: uncontended work
+/// takes a free slot at admission and runs at once, contended work queues
+/// until a finishing statement grants it a slot.
 ///
 /// Robustness semantics:
 ///   - Admission control: the queue is bounded at max_queue_depth and a
@@ -36,8 +38,8 @@ class Session;
 ///     queued work can never wait longer than it may run.
 ///   - Deadline-aware queueing: a statement whose deadline is already
 ///     unsatisfiable is rejected at admission, and one whose deadline
-///     expires while queued is completed with kDeadlineExceeded at dequeue
-///     — it is never executed doomed.
+///     expires while queued is completed with kDeadlineExceeded when it
+///     takes its slot — it is never executed doomed.
 ///   - Graceful drain: Drain() stops admissions, rejects queued work,
 ///     gives in-flight statements drain_deadline_ms to finish, cancels
 ///     stragglers through their cancellation tokens, then checkpoints the
@@ -45,25 +47,41 @@ class Session;
 ///     stays recoverable via SoftDb::Recover if the process dies mid-serve
 ///     instead.
 ///
-/// The worker pool deliberately mirrors (rather than reuses) the exec
-/// TaskScheduler discipline: serving workers block for whole statements,
-/// and statements themselves submit morsel task groups to the engine's
-/// scheduler — parking serve loops inside that barrier-style pool would
-/// starve the very groups they spawn.
+/// Callers are client threads, never TaskScheduler workers, so a served
+/// statement that submits morsel groups to the engine's scheduler cannot
+/// starve them.
 ///
 /// Failpoint sites: server.admit (typed rejection), server.dequeue
-/// (transient, retryable), server.session_execute (transient before the
-/// engine runs the statement), server.drain (action-only hook).
+/// (transient, retryable; fires when a statement takes its slot),
+/// server.session_execute (transient before the engine runs the
+/// statement), server.drain (action-only hook).
 class Dispatcher {
  public:
   Dispatcher(SoftDb* db, ServerOptions options);
+  /// Hard shutdown: closes admissions, completes queued statements with
+  /// {draining=1}, cancels running ones, and returns only once no caller
+  /// is left inside Execute (or holds a Caller). No checkpoint.
   ~Dispatcher();
 
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
 
-  /// Admits and executes one statement on behalf of `session`, blocking
-  /// the calling (client) thread until completion or typed rejection.
+  /// Counts its holder as a caller for its lifetime: ~Dispatcher does not
+  /// return while one is alive. Session::Execute holds one across its
+  /// retry loop, so a session outlives no statement it is serving.
+  class Caller {
+   public:
+    explicit Caller(Dispatcher* dispatcher);
+    ~Caller();
+    Caller(const Caller&) = delete;
+    Caller& operator=(const Caller&) = delete;
+
+   private:
+    Dispatcher* dispatcher_;
+  };
+
+  /// Admits and executes one statement on behalf of `session` on the
+  /// calling thread, blocking until completion or typed rejection.
   /// `caller` may carry the client's own deadline/token; the effective
   /// context also honors session priority and the server deadline knobs.
   /// Single attempt: the retry loop lives in Session::Execute.
@@ -93,44 +111,49 @@ class Dispatcher {
   const ServerOptions& options() const { return options_; }
   SoftDb* db() { return db_; }
 
-  /// Test hooks: freeze/unfreeze the worker pool so admission-control and
-  /// queue-state assertions are deterministic. Paused workers finish their
-  /// current statement and stop dequeuing.
+  /// Test hooks: stop/restart granting slots so admission-control and
+  /// queue-state assertions are deterministic. While paused, running
+  /// statements finish and every new arrival queues.
   void PauseWorkers();
   void ResumeWorkers();
 
  private:
-  /// One admitted (or rejected-after-shed) statement. Clients block on
-  /// `cv` until a worker (or the shedding/drain path) completes it.
+  /// One admitted statement, owned by the Execute frame of its caller.
+  /// The queue and the running set point at it; the caller leaves Execute
+  /// only after it is off both. Everything below is guarded by mu_.
   struct Request {
-    std::string sql;
-    Session* session = nullptr;
     int priority = 0;
-    std::uint64_t seq = 0;  // FIFO tiebreak within a priority.
-    std::uint64_t dequeue_seq = 0;  // Worker dequeue order (1-based).
-    QueryContext ctx;       // Effective context; owns token for the run.
+    std::uint64_t seq = 0;          // FIFO tiebreak within a priority.
+    std::uint64_t dequeue_seq = 0;  // Slot grant order (1-based).
+    QueryContext ctx;  // Effective context; owns the token for the run.
     std::chrono::steady_clock::time_point enqueued_at{};
 
-    std::mutex mu;
+    /// A queued caller waits here until it is granted a slot or is
+    /// completed without running (shed, drain, shutdown).
     std::condition_variable cv;
-    bool done = false;
+    bool granted = false;
     std::optional<Result<QueryResult>> result;
   };
-  using RequestPtr = std::shared_ptr<Request>;
 
-  void WorkerLoop();
-  /// Runs one dequeued request end to end (deadline triage, failpoints,
-  /// engine execution) and completes it.
-  void ServeRequest(const RequestPtr& req);
-  /// Completes `req` with `result` and wakes its waiting client.
-  static void Complete(const RequestPtr& req, Result<QueryResult> result);
-  /// Picks the dequeue candidate: highest priority, then lowest seq.
+  /// Runs one statement that holds a slot (failpoints, deadline triage,
+  /// engine execution) on the calling thread.
+  Result<QueryResult> ServeRequest(Request* req, const std::string& sql);
+  /// Completes a queued request without running it and wakes its caller.
+  /// Requires mu_ held and `req` already off the queue.
+  static void CompleteLocked(Request* req, Result<QueryResult> result);
+  /// Completes every queued request with kResourceExhausted {draining=1}.
+  /// Requires mu_ held.
+  void RejectQueuedLocked(const char* why);
+  /// Grants free slots to the best queued requests while not paused.
+  /// Requires mu_ held.
+  void GrantLocked();
+  /// Picks the grant candidate: highest priority, then lowest seq.
   /// Requires mu_ held and a non-empty queue.
-  std::list<RequestPtr>::iterator BestLocked();
+  std::list<Request*>::iterator BestLocked();
   /// Sheds the lowest-priority queued request strictly below
   /// `incoming_priority` (newest victim among equals). Requires mu_ held;
   /// returns the victim (already removed) or null.
-  RequestPtr ShedVictimLocked(int incoming_priority);
+  Request* ShedVictimLocked(int incoming_priority);
   /// Builds the effective QueryContext for a statement: caller token,
   /// else session token, else a fresh one (so drain can always cancel),
   /// with the caller deadline tightened by the server default. No lock.
@@ -140,19 +163,21 @@ class Dispatcher {
 
   SoftDb* db_;
   const ServerOptions options_;
+  const std::size_t slots_;  // max(1, worker_threads).
   ServerStats stats_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // Workers wait for work here.
-  std::condition_variable idle_cv_;   // Drain waits for running_ empty.
-  std::list<RequestPtr> queue_;       // Admitted, waiting for a worker.
-  std::vector<RequestPtr> running_;   // In-flight on a worker.
-  std::vector<std::thread> workers_;
+  /// Drain waits for running_ to empty, ~Dispatcher for callers_ to reach
+  /// zero. Notified with mu_ held, so a waiter that wakes and destroys
+  /// the dispatcher cannot race the notifier.
+  std::condition_variable idle_cv_;
+  std::list<Request*> queue_;      // Admitted, waiting for a slot.
+  std::vector<Request*> running_;  // Holding a slot.
+  std::size_t callers_ = 0;        // Live Caller scopes.
   std::uint64_t next_seq_ = 0;
-  std::uint64_t dequeued_ = 0;  // Requests handed to a worker so far.
+  std::uint64_t dequeued_ = 0;  // Slots granted so far.
   bool paused_ = false;
   bool draining_ = false;   // Admissions closed.
-  bool shutdown_ = false;   // Workers must exit.
   bool drained_ = false;    // Drain completed (drain_status_ valid).
   Status drain_status_;
   std::condition_variable drain_cv_;  // Later Drain() callers wait here.

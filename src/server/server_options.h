@@ -42,13 +42,12 @@ inline std::chrono::milliseconds ComputeBackoff(const RetryPolicy& policy,
 
 /// Configuration for the serving layer (SessionManager + Dispatcher).
 struct ServerOptions {
-  /// Dispatcher worker threads executing admitted statements. The pool is
-  /// intentionally separate from the engine's morsel TaskScheduler: a
-  /// serving thread blocks for a whole statement, and parking long-lived
-  /// serve loops inside the barrier-style scheduler would starve the
-  /// morsel groups queries submit to the same pool (DESIGN.md §15).
+  /// Execution slots: how many admitted statements may run at once (at
+  /// least 1). A statement runs on its client's thread while it holds a
+  /// slot; no server threads are created. Statements beyond the slots
+  /// queue (DESIGN.md §15).
   std::size_t worker_threads = 2;
-  /// Bounded admission queue: statements waiting for a worker. Admission
+  /// Bounded admission queue: statements waiting for a slot. Admission
   /// past this depth is rejected with kResourceExhausted {queue_depth=N
   /// retry_after_ms=H} unless load shedding can evict a lower-priority
   /// entry to make room.
@@ -76,11 +75,11 @@ struct ServerOptions {
   RetryPolicy retry;
 };
 
-/// Serving-layer counters. All atomics: sessions, workers and the drain
-/// path update them concurrently; tests and ops read them racily.
+/// Serving-layer counters. All atomics: sessions and the drain path
+/// update them concurrently; tests and ops read them racily.
 struct ServerStats {
   std::atomic<std::uint64_t> submitted{0};  // Statements offered to admit.
-  std::atomic<std::uint64_t> admitted{0};   // Entered the queue.
+  std::atomic<std::uint64_t> admitted{0};   // Took a slot or queued.
   std::atomic<std::uint64_t> executed{0};   // Reached the engine.
   std::atomic<std::uint64_t> succeeded{0};  // Engine returned OK.
   std::atomic<std::uint64_t> failed{0};     // Engine returned an error.

@@ -37,6 +37,9 @@ Result<QueryResult> Session::Execute(const std::string& sql) {
 
 Result<QueryResult> Session::Execute(const std::string& sql,
                                      const QueryContext* caller) {
+  // Counted for the whole retry loop: the dispatcher, and with it this
+  // session, outlives every statement a client is still inside.
+  Dispatcher::Caller counted(dispatcher_);
   stats_.statements.fetch_add(1, std::memory_order_relaxed);
   Result<QueryResult> result = ExecuteOnce(sql, caller);
   std::size_t attempt = 1;

@@ -82,8 +82,10 @@ class Session {
 };
 
 /// Owner of all sessions serving one SoftDb, and of the Dispatcher they
-/// share. Construction spins up the worker pool; Drain() (or destruction)
-/// shuts it down. See DESIGN.md §15 for the serving state machine.
+/// share. Statements run on their clients' threads; Drain() (or
+/// destruction) closes admissions. Destruction returns only after every
+/// client has left Session::Execute. See DESIGN.md §15 for the serving
+/// state machine.
 class SessionManager {
  public:
   explicit SessionManager(SoftDb* db, ServerOptions options = {});
@@ -115,11 +117,13 @@ class SessionManager {
 
  private:
   ServerOptions options_;
-  Dispatcher dispatcher_;
 
   mutable std::mutex mu_;
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
   std::uint64_t next_session_id_ = 1;
+  // Declared last so it is destroyed first: ~Dispatcher waits for the
+  // clients still inside a Session before the sessions are freed.
+  Dispatcher dispatcher_;
 };
 
 }  // namespace softdb

@@ -487,5 +487,113 @@ TEST_F(ConcurrencyStressTest, SessionsRaceWritersAndRepairChurn) {
   }
 }
 
+// Plan-cache churn past capacity: reader sessions (more of them than
+// execution slots, so statements also queue and are granted) send texts
+// whose literals never repeat, so every statement builds and caches a new
+// package into an already-full LRU, while a churn thread drops tables
+// (OnTableDropped), overturns and repairs r's SCs (OnScViolated, Rearm).
+// Readers pin the package of an earlier statement and run it after it has
+// been evicted. Answers stay exact and the cache never outgrows its bound.
+TEST_F(ConcurrencyStressTest, PlanCacheChurnPastCapacity) {
+  // Start full: filler packages put the LRU at capacity, so the readers'
+  // first misses already evict.
+  for (std::size_t i = 0; i < PlanCache::kCapacity; ++i) {
+    ASSERT_TRUE(db_.plan_cache()
+                    .Put("filler " + std::to_string(i),
+                         std::make_unique<ScanNode>("filler", Schema()),
+                         std::make_unique<ScanNode>("filler", Schema()), {})
+                    != nullptr);
+  }
+  auto baseline = db_.Execute("SELECT a FROM r WHERE a < 50");
+  ASSERT_TRUE(baseline.ok());
+  const std::size_t expected = baseline->rows.NumRows();
+
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.max_queue_depth = 64;
+  options.high_water_depth = 64;
+  options.retry.base_backoff = std::chrono::milliseconds(1);
+  SessionManager server(&db_, options);
+
+  constexpr int kReaders = 3;
+  constexpr int kStatementsPerReader = 400;
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::atomic<int> readers_left{kReaders};
+
+  auto reader = [&](int id) {
+    auto session = server.OpenSession("churn-" + std::to_string(id));
+    ASSERT_TRUE(session.ok());
+    std::shared_ptr<CachedPlan> pinned;
+    for (int i = 0; i < kStatementsPerReader; ++i) {
+      // b never exceeds 106, so the extra bound keeps the answer fixed
+      // while making the text new.
+      const std::string sql = "SELECT a FROM r WHERE a < 50 AND b < " +
+                              std::to_string(1000 + id * 100000 + i);
+      auto result = (*session)->Execute(sql);
+      if (!result.ok() || result->rows.NumRows() != expected) {
+        errors.fetch_add(1);
+        ADD_FAILURE() << sql << " -> "
+                      << (result.ok()
+                              ? "wrong count " +
+                                    std::to_string(result->rows.NumRows())
+                              : result.status().ToString());
+        break;
+      }
+      if (db_.plan_cache().size() > PlanCache::kCapacity) {
+        errors.fetch_add(1);
+        ADD_FAILURE() << "cache holds " << db_.plan_cache().size();
+      }
+      if (i % 50 == 0) {
+        if (pinned != nullptr) {
+          EXPECT_FALSE(pinned->ActivePlan().ToString().empty());
+        }
+        pinned = db_.plan_cache().Get(sql);  // Null if already evicted.
+      }
+    }
+    if (pinned != nullptr) {
+      EXPECT_FALSE(pinned->ActivePlan().ToString().empty());
+    }
+    if (readers_left.fetch_sub(1) == 1) done.store(true);
+  };
+
+  auto churn = [&]() {
+    const std::vector<Value> violating{Value::Int64(50), Value::Int64(90)};
+    const std::vector<Value> complying{Value::Int64(5), Value::Int64(9)};
+    for (int iter = 0; !done.load(); ++iter) {
+      ASSERT_TRUE(
+          db_.Execute("CREATE TABLE scratch (x BIGINT NOT NULL, y BIGINT)")
+              .ok());
+      auto scratch = db_.Execute("SELECT x FROM scratch WHERE x >= " +
+                                 std::to_string(iter));
+      ASSERT_TRUE(scratch.ok());
+      ASSERT_TRUE(db_.Execute("DROP TABLE scratch").ok());
+      ASSERT_TRUE(db_.scs().OnInsert(db_.catalog(), "r", violating).ok());
+      ASSERT_TRUE(db_.scs().OnInsert(db_.catalog(), "r", complying).ok());
+      if (iter % 3 == 0) {
+        ASSERT_TRUE(db_.RunMaintenance().ok());
+      }
+      if (iter % 5 == 0) {
+        ASSERT_TRUE(db_.scs().VerifyAll(db_.catalog()).ok());
+      }
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kReaders; ++i) threads.emplace_back(reader, i);
+  std::thread churn_thread(churn);
+  for (auto& t : threads) t.join();
+  done.store(true);
+  churn_thread.join();
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_LE(db_.plan_cache().size(), PlanCache::kCapacity);
+  EXPECT_GE(db_.plan_cache().evictions(),
+            static_cast<std::uint64_t>(kReaders * kStatementsPerReader));
+  EXPECT_GT(db_.plan_cache().invalidations(), 0u);
+  EXPECT_EQ(server.stats().failed.load(), 0u);
+  ASSERT_TRUE(server.Drain().ok());
+}
+
 }  // namespace
 }  // namespace softdb

@@ -10,7 +10,9 @@
 #include "constraints/join_hole_sc.h"
 #include "constraints/linear_correlation_sc.h"
 #include "engine/softdb.h"
+#include "exec/operator.h"
 #include "optimizer/plan_cache.h"
+#include "optimizer/planner.h"
 #include "optimizer/range_analysis.h"
 #include "workload/generator.h"
 #include "workload/sc_kit.h"
@@ -458,6 +460,47 @@ TEST_F(OptimizerFixture, PlanCacheHitsAndInvalidation) {
   EXPECT_GE(db_.plan_cache().invalidations(), 1u);
 }
 
+/// Caches a throwaway package under `sql` that reads `table`.
+void PutScan(PlanCache* cache, const std::string& sql,
+             const std::string& table,
+             std::vector<std::string> used_scs = {},
+             std::vector<std::pair<std::string, std::uint64_t>> epochs = {}) {
+  cache->Put(sql, std::make_unique<ScanNode>(table, Schema()),
+             std::make_unique<ScanNode>(table, Schema()), std::move(used_scs),
+             std::move(epochs));
+}
+
+TEST_F(OptimizerFixture, PackageHeldAcrossEvictionStillRuns) {
+  const std::string query =
+      "SELECT * FROM purchase WHERE ship_date = DATE '1999-12-15'";
+  const QueryResult first = Run(query);
+  ASSERT_GT(first.rows.NumRows(), 0u);
+  const std::shared_ptr<CachedPlan> held = db_.plan_cache().Get(query);
+  ASSERT_NE(held, nullptr);
+
+  // Push the package out of the cache with newer ones.
+  for (std::size_t i = 0; i < PlanCache::kCapacity; ++i) {
+    PutScan(&db_.plan_cache(), "filler" + std::to_string(i), "purchase");
+  }
+  EXPECT_EQ(db_.plan_cache().Get(query), nullptr);
+  EXPECT_GE(db_.plan_cache().evictions(), 1u);
+
+  OptimizerContext ctx = db_.MakeContext();
+  CardinalityEstimator estimator = db_.MakeEstimator();
+  PhysicalPlanner planner(&ctx, &estimator);
+  auto root = planner.Plan(held->ActivePlan());
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  ExecContext exec_ctx;
+  auto rows = ExecuteToCompletion(root->get(), &exec_ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->NumRows(), first.rows.NumRows());
+
+  // The evicted statement re-plans on its next run, with the same answer.
+  const QueryResult again = Run(query);
+  EXPECT_FALSE(again.from_plan_cache);
+  EXPECT_EQ(again.rows.NumRows(), first.rows.NumRows());
+}
+
 TEST(PlanCacheTest, RearmAfterRepair) {
   PlanCache cache;
   Schema s;
@@ -470,6 +513,71 @@ TEST(PlanCacheTest, RearmAfterRepair) {
   EXPECT_FALSE(cache.Get("q")->using_backup);
   // Unrelated SC violations touch nothing.
   EXPECT_EQ(cache.OnScViolated("sc_b"), 0u);
+}
+
+TEST(PlanCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
+  PlanCache cache;
+  for (std::size_t i = 0; i < PlanCache::kCapacity; ++i) {
+    PutScan(&cache, "q" + std::to_string(i), "t");
+  }
+  EXPECT_EQ(cache.size(), PlanCache::kCapacity);
+  EXPECT_EQ(cache.evictions(), 0u);
+  // A hit makes q0 the most recently used, so q1 is now the oldest.
+  ASSERT_NE(cache.Get("q0"), nullptr);
+  PutScan(&cache, "q" + std::to_string(PlanCache::kCapacity), "t");
+  EXPECT_EQ(cache.size(), PlanCache::kCapacity);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.Get("q1"), nullptr);
+  EXPECT_NE(cache.Get("q0"), nullptr);
+  EXPECT_NE(cache.Get("q2"), nullptr);
+  // Re-putting a cached key replaces it in place: nothing is evicted.
+  PutScan(&cache, "q2", "t");
+  EXPECT_EQ(cache.size(), PlanCache::kCapacity);
+  EXPECT_EQ(cache.evictions(), 1u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    PutScan(&cache, "fresh" + std::to_string(i), "t");
+    EXPECT_LE(cache.size(), PlanCache::kCapacity);
+  }
+  EXPECT_EQ(cache.evictions(), 11u);
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Get("q0"), nullptr);
+}
+
+TEST(PlanCacheTest, ScopedInvalidationWalksOnlySurvivors) {
+  PlanCache cache;
+  constexpr std::size_t kExtra = 10;
+  for (std::size_t i = 0; i < PlanCache::kCapacity + kExtra; ++i) {
+    const bool uses_sc = i % 3 == 0;
+    PutScan(&cache, "q" + std::to_string(i), i % 2 == 0 ? "t0" : "t1",
+            uses_sc ? std::vector<std::string>{"sc_a"}
+                    : std::vector<std::string>{},
+            uses_sc ? std::vector<std::pair<std::string, std::uint64_t>>{
+                          {"sc_a", 1}}
+                    : std::vector<std::pair<std::string, std::uint64_t>>{});
+  }
+  EXPECT_EQ(cache.evictions(), kExtra);
+  std::size_t with_sc = 0, reads_t0 = 0;
+  for (std::size_t i = kExtra; i < PlanCache::kCapacity + kExtra; ++i) {
+    with_sc += i % 3 == 0 ? 1 : 0;
+    reads_t0 += i % 2 == 0 ? 1 : 0;
+  }
+
+  EXPECT_EQ(cache.OnScViolated("sc_a"), with_sc);
+  EXPECT_EQ(cache.invalidations_avoided(), PlanCache::kCapacity - with_sc);
+  const std::string survivor = "q12";  // Survived eviction; reads sc_a.
+  EXPECT_TRUE(cache.Get(survivor)->using_backup);
+
+  EXPECT_EQ(cache.Rearm({{"sc_a", 7}}), with_sc);
+  const std::shared_ptr<CachedPlan> rearmed = cache.Get(survivor);
+  EXPECT_FALSE(rearmed->using_backup);
+  EXPECT_EQ(cache.ScEpochs(*rearmed),
+            (std::vector<std::pair<std::string, std::uint64_t>>{
+                {"sc_a", 7}}));
+
+  EXPECT_EQ(cache.OnTableDropped("t0"), reads_t0);
+  EXPECT_EQ(cache.size(), PlanCache::kCapacity - reads_t0);
+  EXPECT_EQ(cache.OnTableDropped("t0"), 0u);
 }
 
 // ----------------------------------------------------- Estimator behaviour

@@ -825,6 +825,198 @@ TEST_F(ServerTest, CrashMidServeRecoversServedStateExactly) {
   EXPECT_EQ(SortedRows(recovered->get(), "SELECT * FROM c"), control_rows);
 }
 
+// ------------------------------------------------------ caller-run slots
+
+/// Parks every statement that reaches the exec.drain chaos site until
+/// Open(), recording the thread each one runs on.
+class ExecGate {
+ public:
+  ExecGate() {
+    FP().Enable("exec.drain", EveryNth(1));
+    FP().SetAction("exec.drain", [this] {
+      std::unique_lock<std::mutex> lk(mu_);
+      ran_on_.push_back(std::this_thread::get_id());
+      parked_.store(true);
+      cv_.wait(lk, [this] { return open_; });
+    });
+  }
+  bool WaitParked() {
+    return WaitFor([this] { return parked_.load(); });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  std::vector<std::thread::id> ran_on() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return ran_on_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  std::atomic<bool> parked_{false};
+  std::vector<std::thread::id> ran_on_;
+};
+
+struct ServedOn {
+  Result<QueryResult> result = Status::Internal("not run");
+  std::thread::id caller;
+};
+
+/// Runs one single-row lookup through `session` on a fresh client thread.
+std::future<ServedOn> SubmitLookup(Session* session, int id) {
+  return std::async(std::launch::async, [session, id] {
+    ServedOn out;
+    out.caller = std::this_thread::get_id();
+    out.result = session->Execute("SELECT id FROM t WHERE id = " +
+                                  std::to_string(id));
+    return out;
+  });
+}
+
+TEST_F(ServerTest, UncontendedStatementRunsOnCallingThread) {
+  ServerOptions options;
+  options.retry.max_attempts = 2;
+  options.retry.base_backoff = std::chrono::milliseconds(1);
+  SessionManager server(&db_, options);
+  auto session = server.OpenSession();
+  ASSERT_TRUE(session.ok());
+
+  // One-shot: records where the statement runs, then disarms; the retry
+  // runs it for real.
+  std::thread::id ran_on;
+  FP().Enable("server.session_execute", Always());
+  FP().SetAction("server.session_execute", [&ran_on] {
+    ran_on = std::this_thread::get_id();
+    FP().Disable("server.session_execute");
+  });
+  Result<QueryResult> r = (*session)->Execute("SELECT id FROM t WHERE id = 5");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows.NumRows(), 1u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(server.stats().queue_depth_high_water.load(), 0u);
+  EXPECT_EQ(server.stats().admitted.load(), 2u);
+  EXPECT_EQ(server.dispatcher().in_flight(), 0u);
+}
+
+TEST_F(ServerTest, OneSlotGrantsQueuedCallersByPriorityOnTheirOwnThreads) {
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.retry.max_attempts = 1;
+  SessionManager server(&db_, options);
+  auto first = server.OpenSession("first", 0);
+  auto low = server.OpenSession("low", 0);
+  auto high = server.OpenSession("high", 9);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(low.ok());
+  ASSERT_TRUE(high.ok());
+
+  ExecGate gate;
+  auto fa = SubmitLookup(*first, 1);
+  ASSERT_TRUE(gate.WaitParked());
+  auto fb = SubmitLookup(*low, 2);
+  ASSERT_TRUE(WaitFor([&server] {
+    return server.dispatcher().queue_depth() == 1;
+  }));
+  auto fc = SubmitLookup(*high, 3);
+  ASSERT_TRUE(WaitFor([&server] {
+    return server.dispatcher().queue_depth() == 2;
+  }));
+  // The cap: one slot, held by the parked statement.
+  EXPECT_EQ(server.dispatcher().in_flight(), 1u);
+  gate.Open();
+
+  const ServedOn a = fa.get();
+  const ServedOn b = fb.get();
+  const ServedOn c = fc.get();
+  ASSERT_TRUE(a.result.ok()) << a.result.status().ToString();
+  ASSERT_TRUE(b.result.ok()) << b.result.status().ToString();
+  ASSERT_TRUE(c.result.ok()) << c.result.status().ToString();
+  EXPECT_EQ(a.result->dequeue_seq, 1u);
+  EXPECT_LT(c.result->dequeue_seq, b.result->dequeue_seq);
+  // One at a time, in grant order, each on the thread that submitted it.
+  const std::vector<std::thread::id> ran_on = gate.ran_on();
+  ASSERT_EQ(ran_on.size(), 3u);
+  EXPECT_EQ(ran_on[0], a.caller);
+  EXPECT_EQ(ran_on[1], c.caller);
+  EXPECT_EQ(ran_on[2], b.caller);
+  EXPECT_EQ(server.stats().succeeded.load(), 3u);
+}
+
+TEST_F(ServerTest, HardShutdownWaitsForEveryCaller) {
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.retry.max_attempts = 1;
+  auto server = std::make_unique<SessionManager>(&db_, options);
+  auto running = server->OpenSession("running");
+  auto queued = server->OpenSession("queued");
+  ASSERT_TRUE(running.ok());
+  ASSERT_TRUE(queued.ok());
+  const std::shared_ptr<CancellationToken> running_token =
+      (*running)->cancel_token();
+
+  ExecGate gate;
+  auto fa = SubmitLookup(*running, 1);
+  ASSERT_TRUE(gate.WaitParked());
+  auto fb = SubmitLookup(*queued, 2);
+  ASSERT_TRUE(WaitFor([&server] {
+    return server->dispatcher().queue_depth() == 1;
+  }));
+
+  auto shutdown = std::async(std::launch::async, [&server] { server.reset(); });
+  // The queued statement is completed without running...
+  const ServedOn b = fb.get();
+  ASSERT_FALSE(b.result.ok());
+  EXPECT_EQ(b.result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(StatusDetail(b.result.status(), "draining"), 1);
+  // ...the running one is cancelled, and the manager outlives it.
+  ASSERT_TRUE(WaitFor([&running_token] { return running_token->cancelled(); }));
+  EXPECT_EQ(shutdown.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  gate.Open();
+  shutdown.get();
+  const ServedOn a = fa.get();
+  ASSERT_FALSE(a.result.ok());
+  EXPECT_EQ(a.result.status().code(), StatusCode::kCancelled);
+}
+
+TEST_F(ServerTest, DrainCancelsCallerRunStragglerAfterGrace) {
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.drain_deadline_ms = 20;
+  options.retry.max_attempts = 1;
+  SessionManager server(&db_, options);
+  auto session = server.OpenSession();
+  ASSERT_TRUE(session.ok());
+
+  ExecGate gate;
+  auto straggler = SubmitLookup(*session, 1);
+  ASSERT_TRUE(gate.WaitParked());
+  const auto drain_start = std::chrono::steady_clock::now();
+  auto drain = std::async(std::launch::async,
+                          [&server] { return server.Drain(); });
+  ASSERT_TRUE(WaitFor([&server] {
+    return server.stats().drain_cancelled.load() == 1;
+  }));
+  EXPECT_GE(std::chrono::steady_clock::now() - drain_start,
+            std::chrono::milliseconds(options.drain_deadline_ms));
+  gate.Open();
+
+  EXPECT_TRUE(drain.get().ok());
+  const ServedOn s = straggler.get();
+  ASSERT_FALSE(s.result.ok());
+  EXPECT_EQ(s.result.status().code(), StatusCode::kCancelled);
+  const std::vector<std::thread::id> ran_on = gate.ran_on();
+  ASSERT_EQ(ran_on.size(), 1u);
+  EXPECT_EQ(ran_on[0], s.caller);
+  EXPECT_EQ(server.dispatcher().in_flight(), 0u);
+}
+
 // --------------------------------------------------------- overload drill
 
 TEST_F(ServerTest, OverloadDrillTypedRejectionsAndExactRecovery) {

@@ -48,6 +48,10 @@ void PrintUsage(std::FILE* out) {
       "Statements rejected under overload retry inside their session; a\n"
       "run is clean when every failure (if any) was typed retryable.\n"
       "\n"
+      "--workers N sets the dispatcher's execution slots: how many\n"
+      "statements run at once, each on its own session's thread; the\n"
+      "rest queue. Default 2.\n"
+      "\n"
       "exit codes: 0 clean, 1 non-retryable failures, 2 usage/input error\n");
 }
 
